@@ -96,6 +96,7 @@ CsrProblem CsrProblem::compile(const NumProblem& problem) {
       csr.kind_[i] = csr.neg_inv_alpha_[i] == -1.0 ? kReciprocal : kPow;
     } else {
       csr.generic_[i] = problem.utilities[i];
+      csr.closed_form_ = false;
     }
   }
 

@@ -176,6 +176,31 @@ class CsrProblem {
     }
   }
 
+  /// True iff every compiled flow has a closed-form (positive-alpha
+  /// AlphaFairUtility) marginal inverse, i.e. rate_and_slope applies.
+  bool closed_form() const { return closed_form_; }
+
+  struct RateSlope {
+    double rate;
+    double slope;  // d rate / d price
+  };
+
+  /// marginal_inverse together with its derivative in the price, for the
+  /// tolerance-mode Newton price finder.  Closed-form kinds only (see
+  /// closed_form()).  rate = (q/w)^(-1/alpha) gives d rate/d q =
+  /// (-1/alpha) * rate / q, which is -rate/q for alpha == 1.  The slope is 0
+  /// where the kMinPrice or kMaxRate clamp binds.  `rate` is computed the
+  /// same way as marginal_inverse.
+  RateSlope rate_and_slope(std::size_t flow, double price) const {
+    const double q = std::max(price, kMinPrice);
+    const double rate = kind_[flow] == kReciprocal
+                            ? 1.0 / (q / weight_[flow])
+                            : std::pow(q / weight_[flow], neg_inv_alpha_[flow]);
+    if (!std::isfinite(rate) || rate >= kMaxRate) return {kMaxRate, 0.0};
+    if (price <= kMinPrice) return {rate, 0.0};
+    return {rate, neg_inv_alpha_[flow] * rate / q};
+  }
+
   /// U'(rate) for one flow (the compiled twin of marginal_inverse, used by
   /// the CSR kkt_residual overload).
   double marginal(std::size_t flow, double rate) const {
@@ -210,6 +235,7 @@ class CsrProblem {
   std::vector<const UtilityFunction*> generic_;  // non-null iff kind kGeneric
   std::vector<const UtilityFunction*> utilities_;  // all, for marginal()
   std::vector<std::uint8_t> kind_;
+  bool closed_form_ = true;  // no kGeneric flow compiled
 
   std::vector<std::uint8_t> active_;
   std::vector<std::int32_t> active_list_;  // active flows, swap-remove order
@@ -258,11 +284,12 @@ class NumWorkspace {
 
   // Incremental re-solve state: the problem/epoch the stored path_price and
   // rates correspond to (see CsrProblem::epoch), a fixed-capacity FIFO ring
-  // of links to relax and its membership bitmap.
+  // of links to relax, its membership bitmap and the sorted dirty-link seed.
   const CsrProblem* bound_problem_ = nullptr;
   std::uint64_t bound_epoch_ = 0;
   std::vector<std::int32_t> worklist_;   // ring buffer, capacity num_links
   std::vector<std::uint8_t> in_queue_;   // per-link membership
+  std::vector<std::int32_t> seed_;       // dirty links, capacity num_links
 
   std::unique_ptr<util::WorkerPool> pool_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/substrate_stats.h"
@@ -32,6 +33,7 @@ struct SolverAccess {
   static std::vector<std::uint8_t>& in_queue(NumWorkspace& ws) {
     return ws.in_queue_;
   }
+  static std::vector<std::int32_t>& seed(NumWorkspace& ws) { return ws.seed_; }
   static std::unique_ptr<util::WorkerPool>& pool(NumWorkspace& ws) {
     return ws.pool_;
   }
@@ -41,19 +43,18 @@ namespace {
 
 /// resize() that counts actual heap growth into the substrate stats — the
 /// zero-allocation-per-re-solve guarantee is measured, not assumed.
-void sized(std::vector<double>& v, std::size_t n) {
+template <typename T>
+void sized(std::vector<T>& v, std::size_t n) {
   if (v.capacity() < n) ++sim::substrate_stats().allocs_solver_workspace;
   v.resize(n);
 }
 
-/// The per-link Gauss-Seidel update.  Reads/writes prices[l], base and
-/// path_price of the link's active flows only — state disjoint from every
-/// other link in the same wave — and returns |new_price - old_price|.
-///
-/// Iteration runs over the compacted active row (link_active_flows): the
-/// same flow ids, in the same increasing order, as scanning the full
-/// compiled row and skipping inactives — so every partial sum rounds
-/// bit-identically while the cost is O(active-on-link), not O(history).
+/// Which loop picks a link's new price once it is known to be overloaded at
+/// price 0 (see update_link).
+enum class PriceFinder { kBisection, kNewton };
+
+/// The reference price finder: bisection on the "load > capacity" predicate
+/// to `price_resolution`, or to the last representable bit when it is 0.
 ///
 /// Arithmetic is line-for-line the legacy solve_num bisection; the three
 /// differences are bit-exact accelerations:
@@ -67,6 +68,106 @@ void sized(std::vector<double>& v, std::size_t n) {
 ///    bitwise unchanged — every remaining iteration would recompute the same
 ///    midpoint and take the same branch, so the final 0.5 * (lo + hi) is
 ///    untouched.
+template <typename Overloaded>
+double bisect_price(const Overloaded& overloaded, double warm_price,
+                    double price_resolution) {
+  // Bracket: load decreases in price; double until under capacity.
+  double lo = 0.0;
+  double hi = std::max(warm_price, 1e-6);
+  while (overloaded(hi)) {
+    lo = hi;
+    hi *= 2.0;
+    if (hi > 1e30) throw std::logic_error("solve_num: price diverged");
+  }
+  for (int iter = 0; iter < 100; ++iter) {
+    if (price_resolution > 0.0 && hi - lo <= price_resolution) break;
+    const double mid = 0.5 * (lo + hi);
+    const double prev_lo = lo;
+    const double prev_hi = hi;
+    if (overloaded(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (lo == prev_lo && hi == prev_hi) break;  // bracket bitwise frozen
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// The tolerance-mode price finder: safeguarded Newton on the link's load
+/// equation  load(p) = sum_i x_i(base_i + p) = capacity,  which is
+/// decreasing and convex in p for alpha-fair utilities.  Each iteration is
+/// one row pass for load and d load/dp.
+///
+///  * The bracket [lo, hi] keeps load(lo) > capacity >= load(hi); hi starts
+///    unknown (infinite).  The caller has checked load(0) > capacity.
+///  * Every Newton step moves at least price_resolution toward the root, so
+///    the iterate that lands within the resolution crosses it and closes the
+///    bracket.  While load > 2 * capacity the step is at least a doubling
+///    (Newton from far left grows p only by a factor 1 + alpha).
+///  * A step that leaves the bracket falls back to bisection, or to doubling
+///    while hi is unknown; the 1e30 divergence throw is the bisection's.
+///  * It stops only when hi - lo <= price_resolution (or no double lies
+///    strictly inside the bracket).  A small step alone proves nothing: far
+///    left of the root Newton steps are ~p.
+///  * It returns the last Newton estimate when that lies in the closed
+///    bracket, else the midpoint.  The minimum step makes the crossing
+///    iterate overshoot the root by ~price_resolution, so the midpoint sits
+///    systematically ~price_resolution / 2 off it; the Newton estimate is off
+///    by the square of the last step (the load is convex, so the tangent's
+///    root lies just left of the true root).
+template <typename LoadSlope>
+double newton_price(const LoadSlope& load_slope, double capacity,
+                    double warm_price, double price_resolution) {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  double p = warm_price > 0.0 ? warm_price : 1e-6;
+  double newton = 0.0;
+  // Bracketed steps are capped at the bisection's depth; the unbracketed
+  // phase ends by crossing the root or by the divergence throw.
+  for (int bracketed = 0; bracketed < 100;) {
+    const auto [load, slope] = load_slope(p);
+    const bool over = load > capacity;
+    (over ? lo : hi) = p;
+    newton = p - (load - capacity) / slope;  // NaN/inf when slope == 0
+    if (hi <= lo + price_resolution) break;
+    double next = newton;
+    if (over) {
+      next = std::max(next, p + price_resolution);
+      if (load > 2.0 * capacity) next = std::max(next, 2.0 * p);
+    } else {
+      next = std::min(next, p - price_resolution);
+    }
+    if (!(next > lo && next < hi)) {
+      next = std::isinf(hi) ? 2.0 * lo : 0.5 * (lo + hi);
+      if (next == lo || next == hi) break;  // no double strictly inside
+    }
+    if (next > 1e30) throw std::logic_error("solve_num: price diverged");
+    if (!std::isinf(hi)) ++bracketed;
+    p = next;
+  }
+  return newton >= lo && newton <= hi ? newton : 0.5 * (lo + hi);
+}
+
+/// The per-link Gauss-Seidel update.  Reads/writes prices[l] and the
+/// path_price of the link's active flows only — state disjoint from every
+/// other link in the same wave — and returns |new_price - old_price|.
+///
+/// Iteration runs over the compacted active row (link_active_flows): the
+/// same flow ids, in the same increasing order, as scanning the full
+/// compiled row and skipping inactives — so every partial sum rounds
+/// bit-identically while the cost is O(active-on-link), not O(history).
+///
+/// A flow's price excluding this link, base = path_price - old_price, is
+/// computed once per update into the per-flow `base` array for the
+/// bisection, which reads it ~20 times per update.  The Newton finder reads
+/// it ~3 times and recomputes it instead: the same subtraction yields the
+/// same bits, and at 10^5+ flows a store per row entry would miss cache.
+///
+/// The two finders share everything but the loop that picks the price: the
+/// load(0) complementary-slackness test, the path_price write-back and the
+/// change computation.
+template <PriceFinder kFinder>
 double update_link(const CsrProblem& problem, std::size_t l,
                    std::vector<double>& prices,
                    std::vector<double>& path_price, std::vector<double>& base,
@@ -76,56 +177,57 @@ double update_link(const CsrProblem& problem, std::size_t l,
     prices[l] = 0.0;  // same as the legacy empty-link skip: no change recorded
     return 0.0;
   }
+  const double capacity = problem.capacities()[l];
+  const double old_price = prices[l];
+  if constexpr (kFinder == PriceFinder::kBisection) {
+    for (const std::int32_t i : flows) {
+      const auto fi = static_cast<std::size_t>(i);
+      base[fi] = path_price[fi] - old_price;
+    }
+  }
+  const auto base_of = [&](std::size_t fi) {
+    if constexpr (kFinder == PriceFinder::kBisection) {
+      return base[fi];
+    } else {
+      return path_price[fi] - old_price;
+    }
+  };
 
   // Does the load at `candidate` exceed capacity?  (The bisection only ever
   // needs this predicate, never the load value itself.)
   const auto overloaded = [&](double candidate) {
-    const double capacity = problem.capacities()[l];
     double load = 0.0;
     for (const std::int32_t i : flows) {
       const auto fi = static_cast<std::size_t>(i);
-      load += problem.marginal_inverse(fi, base[fi] + candidate);
+      load += problem.marginal_inverse(fi, base_of(fi) + candidate);
       if (load > capacity) return true;
     }
     return false;
   };
 
-  for (const std::int32_t i : flows) {
-    const auto fi = static_cast<std::size_t>(i);
-    base[fi] = path_price[fi] - prices[l];
-  }
-
   double new_price;
   if (!overloaded(0.0)) {
     new_price = 0.0;  // under-loaded even for free: complementary slackness
-  } else {
-    // Bracket: load decreases in price; double until under capacity.
-    double lo = 0.0;
-    double hi = std::max(prices[l], 1e-6);
-    while (overloaded(hi)) {
-      lo = hi;
-      hi *= 2.0;
-      if (hi > 1e30) throw std::logic_error("solve_num: price diverged");
-    }
-    for (int iter = 0; iter < 100; ++iter) {
-      if (price_resolution > 0.0 && hi - lo <= price_resolution) break;
-      const double mid = 0.5 * (lo + hi);
-      const double prev_lo = lo;
-      const double prev_hi = hi;
-      if (overloaded(mid)) {
-        lo = mid;
-      } else {
-        hi = mid;
+  } else if constexpr (kFinder == PriceFinder::kNewton) {
+    const auto load_slope = [&](double candidate) {
+      CsrProblem::RateSlope sum{0.0, 0.0};
+      for (const std::int32_t i : flows) {
+        const auto fi = static_cast<std::size_t>(i);
+        const auto term = problem.rate_and_slope(fi, base_of(fi) + candidate);
+        sum.rate += term.rate;
+        sum.slope += term.slope;
       }
-      if (lo == prev_lo && hi == prev_hi) break;  // bracket bitwise frozen
-    }
-    new_price = 0.5 * (lo + hi);
+      return sum;
+    };
+    new_price = newton_price(load_slope, capacity, old_price, price_resolution);
+  } else {
+    new_price = bisect_price(overloaded, old_price, price_resolution);
   }
 
-  const double change = std::abs(new_price - prices[l]);
+  const double change = std::abs(new_price - old_price);
   for (const std::int32_t i : flows) {
     const auto fi = static_cast<std::size_t>(i);
-    path_price[fi] = base[fi] + new_price;
+    path_price[fi] = base_of(fi) + new_price;
   }
   prices[l] = new_price;
   return change;
@@ -166,8 +268,26 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   // magnitude below the sweep tolerance — the sweep loop cannot distinguish
   // prices closer than that, so the remaining fixed-depth halvings are pure
   // waste.  Cold solves keep the full-depth bisection so their results stay
-  // bit-identical to the legacy solver.
-  const double price_resolution = warm ? options.tolerance * 1e-2 : 0.0;
+  // bit-identical to the legacy solver — except in tolerance mode
+  // (options.incremental), which promises only the tolerance band and so
+  // stops at the same resolution even when cold, and finds each price with
+  // the safeguarded Newton step when every utility has a closed-form slope.
+  // Bisection stays the reference for every bit-exact (golden-hashed) solve.
+  const bool tolerance_mode = options.incremental && options.tolerance > 0.0;
+  const double price_resolution =
+      warm || tolerance_mode ? options.tolerance * 1e-2 : 0.0;
+  const PriceFinder finder = tolerance_mode && problem.closed_form()
+                                 ? PriceFinder::kNewton
+                                 : PriceFinder::kBisection;
+  const auto relax = [&](std::size_t l) {
+    return finder == PriceFinder::kNewton
+               ? update_link<PriceFinder::kNewton>(problem, l, prices,
+                                                   path_price, base,
+                                                   price_resolution)
+               : update_link<PriceFinder::kBisection>(problem, l, prices,
+                                                      path_price, base,
+                                                      price_resolution);
+  };
 
   // Incremental re-solve is sound only when the workspace's stored
   // path_price/rates describe this exact problem as of the last mark_solved
@@ -183,7 +303,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       path_price.size() == num_flows && rates.size() == num_flows;
 
   sized(path_price, num_flows);
-  sized(base, num_flows);
+  if (finder == PriceFinder::kBisection) sized(base, num_flows);
   if (incremental) {
     // Patch only the toggled flows: a newly (re)activated flow needs a fresh
     // path-price sum (its stored slot is stale); a deactivated flow just
@@ -233,10 +353,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
     if (pool == nullptr) {
       // Reference spec: natural link order.
       for (std::size_t l = 0; l < num_links; ++l) {
-        max_price_change = std::max(
-            max_price_change,
-            update_link(problem, l, prices, path_price, base,
-                        price_resolution));
+        max_price_change = std::max(max_price_change, relax(l));
       }
     } else {
       // Wave execution: per the schedule's construction every link's inputs
@@ -255,8 +372,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
               static_cast<std::size_t>(chunks);
           for (std::size_t k = begin; k < end; ++k) {
             const auto l = static_cast<std::size_t>(wave[k]);
-            change[l] = update_link(problem, l, prices, path_price, base,
-                                    price_resolution);
+            change[l] = relax(l);
           }
         });
       }
@@ -269,16 +385,25 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
     return max_price_change;
   };
 
+  std::vector<std::int32_t>& ring = SolverAccess::worklist(workspace);
+  std::vector<std::uint8_t>& in_queue = SolverAccess::in_queue(workspace);
+  std::vector<std::int32_t>& seed = SolverAccess::seed(workspace);
+  if (options.incremental) {
+    // Sized on every incremental-option solve, full fallbacks included, so
+    // the first one leaves the worklist buffers ready and every later
+    // re-solve allocation-free.  in_queue is all-zero between solves.
+    sized(ring, num_links);
+    sized(in_queue, num_links);
+    sized(seed, num_links);
+  }
+
   SolveStats stats;
   if (incremental) {
     // Worklist relaxation, seeded from the dirty links in increasing id.
     // Serial by construction — the order links come off the queue is a
     // function of the dirty set alone, so results are identical for every
     // --solver-threads value.
-    std::vector<std::int32_t>& ring = SolverAccess::worklist(workspace);
-    std::vector<std::uint8_t>& in_queue = SolverAccess::in_queue(workspace);
-    if (ring.size() < num_links) ring.resize(num_links);
-    if (in_queue.size() < num_links) in_queue.assign(num_links, 0);
+    //
     // The membership bitmap caps the queue at num_links entries, so a ring
     // of that capacity never overflows.
     std::size_t head = 0, queued = 0;
@@ -288,14 +413,13 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       ring[(head + queued) % num_links] = l;
       ++queued;
     };
-    {
-      // dirty_links() is in first-dirtied order; seed ascending so the
-      // relaxation order is independent of the set_active call order.
-      std::vector<std::int32_t> seed(problem.dirty_links().begin(),
-                                     problem.dirty_links().end());
-      std::sort(seed.begin(), seed.end());
-      for (const std::int32_t l : seed) push(l);
-    }
+    // dirty_links() is in first-dirtied order; seed ascending so the
+    // relaxation order is independent of the set_active call order.  The
+    // dirty set holds each link at most once, so it fits the seed buffer.
+    const auto dirty = problem.dirty_links();
+    const auto seed_end = std::copy(dirty.begin(), dirty.end(), seed.begin());
+    std::sort(seed.begin(), seed_end);
+    for (auto it = seed.begin(); it != seed_end; ++it) push(*it);
     const std::int64_t relaxation_cap =
         static_cast<std::int64_t>(options.max_sweeps) *
         static_cast<std::int64_t>(num_links == 0 ? 1 : num_links);
@@ -304,9 +428,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       head = (head + 1) % num_links;
       --queued;
       in_queue[static_cast<std::size_t>(l)] = 0;
-      const double delta =
-          update_link(problem, static_cast<std::size_t>(l), prices,
-                      path_price, base, price_resolution);
+      const double delta = relax(static_cast<std::size_t>(l));
       ++stats.relaxations;
       if (delta >= options.tolerance) {
         // The move perturbed the path price of every active flow through l;
@@ -319,6 +441,11 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
           }
         }
       }
+    }
+    // A capped cascade leaves links queued; clear their membership so the
+    // next solve can enqueue them (the sweeps below cover them this time).
+    for (; queued > 0; --queued, head = (head + 1) % num_links) {
+      in_queue[static_cast<std::size_t>(ring[head])] = 0;
     }
     // Verification: full sweeps until quiescent.  Normally the first sweep
     // confirms convergence; if the worklist missed coupling (or hit the

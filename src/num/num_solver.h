@@ -8,7 +8,8 @@
 //   sum_{i on l} U_i'^{-1}( sum_{k in path(i)} p_k ) = c_l   (or p_l = 0).
 //
 // The per-link subproblem is monotone in p_l, so a bisection solves it
-// exactly; sweeping to a fixed point yields KKT-satisfying prices/rates
+// exactly (tolerance-mode solves use a safeguarded Newton step on the same
+// equation); sweeping to a fixed point yields KKT-satisfying prices/rates
 // (Eqs. 5-6).  This is far more robust than running DGD to convergence and
 // needs no step size — ideal for an oracle.
 //
@@ -49,6 +50,11 @@ struct NumSolverOptions {
   /// full solve when the workspace is cold, initial_prices are set, the
   /// workspace last solved a different problem/epoch, or the problem is
   /// all-dirty (fresh compile / deactivate_all).
+  ///
+  /// It also selects tolerance mode for the whole solve, fallback included:
+  /// each link's price search stops at tolerance * 1e-2 even when cold, and
+  /// uses a safeguarded Newton step instead of bisection when every
+  /// utility is alpha-fair (see src/num/README.md, tier 2).
   bool incremental = false;
 };
 
