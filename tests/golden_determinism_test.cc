@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/metrics.h"
 #include "app/options.h"
@@ -222,6 +224,53 @@ TEST(GoldenDeterminismTest, FlowFidelitySweepIsJobCountInvariant) {
       << "flow-fidelity sweep output changed. If intentional, update "
          "kFlowSweepGolden.\n--- normalized CSV (first 2000 chars) ---\n"
       << serial.substr(0, 2000);
+}
+
+// The dual-fidelity twin paths no sweep golden above covers, one small
+// fixed point each: packet websearch-fct (packet runner + fluid oracle),
+// trace replay at both fidelities, and the flow-fidelity traffic runner in
+// FCT (shuffle) and rate (permutation) mode.  Every case runs on a 2x2x1
+// fabric with incremental=off, so every byte is exact.
+TEST(GoldenDeterminismTest, DualFidelityTwinPathsMatchGoldens) {
+  struct TwinCase {
+    const char* scenario;
+    std::vector<std::pair<std::string, std::string>> options;
+    const char* golden;
+  };
+  const TwinCase cases[] = {
+      {"websearch-fct",
+       {{"fidelity", "packet"}, {"flows", "40"}, {"loads", "0.5"},
+        {"horizon_ms", "300"}},
+       "b673f9dc4c0a2ce0"},
+      {"trace-replay",
+       {{"fidelity", "packet"}, {"horizon_ms", "500"}},
+       "c83f3d774e7a78cf"},
+      {"trace-replay",
+       {{"fidelity", "flow"}, {"horizon_ms", "500"}},
+       "60b12899ddf5dcc0"},
+      {"shuffle", {{"fidelity", "flow"}}, "91188e1a60cc4a9"},
+      {"permutation", {{"fidelity", "flow"}}, "f9493a6a94f8efd3"},
+  };
+  register_builtin_scenarios();
+  for (const TwinCase& twin : cases) {
+    const Scenario* scenario = ScenarioRegistry::global().find(twin.scenario);
+    ASSERT_NE(scenario, nullptr) << twin.scenario;
+    Options options;
+    options.set("topology", "2x2x1");
+    options.set("incremental", "off");
+    for (const auto& [key, value] : twin.options) options.set(key, value);
+    MetricWriter metrics;
+    RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false};
+    const PerfSnapshot snapshot;
+    scenario->run(ctx);
+    record_perf(metrics, snapshot.delta());
+    const std::string csv = normalize(metrics);
+    EXPECT_EQ(fnv1a_hex(csv), twin.golden)
+        << twin.scenario << " fidelity=" << options.get("fidelity", "")
+        << " output changed. If intentional, update its golden.\n"
+        << "--- normalized CSV (first 2000 chars) ---\n"
+        << csv.substr(0, 2000);
+  }
 }
 
 }  // namespace
