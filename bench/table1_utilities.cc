@@ -19,8 +19,7 @@ namespace {
 
 using namespace numfabric::num;
 
-// Oracle rates via the compiled CSR path (the solve_num(NumProblem) adapter
-// is kept only as a compatibility shim for external callers).
+// Oracle rates via the compiled CSR path.
 std::vector<double> oracle_rates(const NumProblem& problem) {
   const CsrProblem csr = CsrProblem::compile(problem);
   NumWorkspace workspace;

@@ -15,8 +15,8 @@
 #include "app/run_plan.h"
 #include "app/scenario.h"
 #include "app/sweep.h"
-#include "app/worker_pool.h"
 #include "util/parse.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -230,7 +230,7 @@ int run_cli(const std::vector<std::string>& args) {
   const unsigned effective_shards =
       shards == 0 ? hw : static_cast<unsigned>(shards);
   const unsigned effective_jobs =
-      static_cast<unsigned>(WorkerPool::resolve_jobs(jobs));
+      static_cast<unsigned>(util::WorkerPool::resolve_jobs(jobs));
   if (effective_shards > 1 && effective_jobs * effective_shards > hw) {
     std::fprintf(stderr,
                  "warning: --jobs=%u x --shards=%u worker threads "
@@ -326,8 +326,8 @@ int run_cli(const std::vector<std::string>& args) {
     int exit_code = 0;
     if (sweep_tokens.empty()) {
       RunContext ctx{options, parse_scheme(transport), metrics, full,
-                     WorkerPool::resolve_jobs(solver_threads),
-                     WorkerPool::resolve_jobs(control_threads), shards};
+                     util::WorkerPool::resolve_jobs(solver_threads),
+                     util::WorkerPool::resolve_jobs(control_threads), shards};
       const PerfSnapshot perf_snapshot;
       const auto wall_start = std::chrono::steady_clock::now();
       scenario->run(ctx);
@@ -356,9 +356,9 @@ int run_cli(const std::vector<std::string>& args) {
       request.plan = std::move(plan);
       request.scheme = parse_scheme(transport);
       request.full_scale = full;
-      request.jobs = WorkerPool::resolve_jobs(jobs);
-      request.solver_threads = WorkerPool::resolve_jobs(solver_threads);
-      request.control_threads = WorkerPool::resolve_jobs(control_threads);
+      request.jobs = util::WorkerPool::resolve_jobs(jobs);
+      request.solver_threads = util::WorkerPool::resolve_jobs(solver_threads);
+      request.control_threads = util::WorkerPool::resolve_jobs(control_threads);
       request.shards = shards;
       request.report_solver_stats = solver_stats;
       request.vary_seed = vary_seed;

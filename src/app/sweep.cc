@@ -7,8 +7,8 @@
 #include <string>
 
 #include "app/perf.h"
-#include "app/worker_pool.h"
 #include "util/parse.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -60,7 +60,7 @@ SweepResult run_sweep(const SweepRequest& request, MetricWriter& merged) {
   SweepResult result;
   result.statuses.resize(runs.size());
 
-  WorkerPool pool(request.jobs);
+  util::WorkerPool pool(request.jobs);
   pool.parallel_for(static_cast<int>(runs.size()), [&](int i) {
     const RunSpec& run = runs[static_cast<std::size_t>(i)];
     SweepRunStatus& status = result.statuses[static_cast<std::size_t>(i)];

@@ -2,26 +2,30 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace numfabric::num {
 namespace {
 
 void validate(const NumProblem& problem) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("CsrProblem::compile: ") + what);
+  };
   const std::size_t num_flows = problem.utilities.size();
   if (problem.flow_links.size() != num_flows) {
-    throw std::invalid_argument("solve_num: utilities/flow_links size mismatch");
+    fail("utilities/flow_links size mismatch");
   }
   for (const auto* u : problem.utilities) {
-    if (u == nullptr) throw std::invalid_argument("solve_num: null utility");
+    if (u == nullptr) fail("null utility");
   }
   for (double c : problem.capacities) {
-    if (c <= 0) throw std::invalid_argument("solve_num: capacity <= 0");
+    if (c <= 0) fail("capacity <= 0");
   }
   for (const auto& links : problem.flow_links) {
-    if (links.empty()) throw std::invalid_argument("solve_num: empty path");
+    if (links.empty()) fail("empty path");
     for (int l : links) {
       if (l < 0 || static_cast<std::size_t>(l) >= problem.capacities.size()) {
-        throw std::invalid_argument("solve_num: bad link index");
+        fail("bad link index");
       }
     }
   }

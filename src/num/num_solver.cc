@@ -77,7 +77,7 @@ double bisect_price(const Overloaded& overloaded, double warm_price,
   while (overloaded(hi)) {
     lo = hi;
     hi *= 2.0;
-    if (hi > 1e30) throw std::logic_error("solve_num: price diverged");
+    if (hi > 1e30) throw std::logic_error("num::solve: price diverged");
   }
   for (int iter = 0; iter < 100; ++iter) {
     if (price_resolution > 0.0 && hi - lo <= price_resolution) break;
@@ -142,7 +142,7 @@ double newton_price(const LoadSlope& load_slope, double capacity,
       next = std::isinf(hi) ? 2.0 * lo : 0.5 * (lo + hi);
       if (next == lo || next == hi) break;  // no double strictly inside
     }
-    if (next > 1e30) throw std::logic_error("solve_num: price diverged");
+    if (next > 1e30) throw std::logic_error("num::solve: price diverged");
     if (!std::isinf(hi)) ++bracketed;
     p = next;
   }
@@ -250,7 +250,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   bool warm;
   if (!options.initial_prices.empty()) {
     if (options.initial_prices.size() != num_links) {
-      throw std::invalid_argument("solve_num: initial_prices size mismatch");
+      throw std::invalid_argument("num::solve: initial_prices size mismatch");
     }
     sized(prices, num_links);
     std::copy(options.initial_prices.begin(), options.initial_prices.end(),
@@ -508,20 +508,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
           std::chrono::steady_clock::now() - wall_start)
           .count());
   return stats;
-}
-
-NumSolution solve_num(const NumProblem& problem,
-                      const NumSolverOptions& options) {
-  const CsrProblem csr = CsrProblem::compile(problem);
-  NumWorkspace workspace;
-  const SolveStats stats = solve(csr, workspace, options);
-  NumSolution solution;
-  solution.rates.assign(workspace.rates().begin(), workspace.rates().end());
-  solution.prices.assign(workspace.prices().begin(), workspace.prices().end());
-  solution.sweeps = stats.sweeps;
-  solution.converged = stats.converged;
-  solution.max_violation = stats.max_violation;
-  return solution;
 }
 
 double kkt_residual(const NumProblem& problem, const std::vector<double>& rates,

@@ -74,29 +74,6 @@ struct SolveStats {
 SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
                  const NumSolverOptions& options = {});
 
-// ---------------------------------------------------------------------------
-// Deprecated compatibility wrapper: compiles + solves in one call, paying a
-// compile and a workspace allocation per invocation.  Call sites that solve
-// once don't care; anything that re-solves (oracles, experiment loops)
-// should hold a CsrProblem + NumWorkspace instead.
-// ---------------------------------------------------------------------------
-
-struct NumSolution {
-  std::vector<double> rates;
-  std::vector<double> prices;
-  int sweeps = 0;
-  bool converged = false;
-  /// max_l |sum_{i on l} x_i - c_l| / c_l over saturated links.
-  double max_violation = 0.0;
-};
-
-/// DEPRECATED: compile once via CsrProblem::compile and call solve() with a
-/// reusable NumWorkspace.  The repo has no internal callers left; this is a
-/// compatibility shim for external code only (parity-tested against the new
-/// API in csr_solver_test.cc).  New code must not use it.
-NumSolution solve_num(const NumProblem& problem,
-                      const NumSolverOptions& options = {});
-
 /// KKT residual check used by tests: returns the maximum over flows of
 /// |U'(x_i) - sum prices| / U'(x_i) plus the maximum complementary slackness
 /// violation.  Near zero iff (rates, prices) solve the NUM problem.

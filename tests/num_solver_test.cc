@@ -11,15 +11,21 @@
 namespace numfabric::num {
 namespace {
 
-// All tests drive the solver through the compiled CSR path; the deprecated
-// solve_num(NumProblem) shim keeps its own parity coverage in
-// csr_solver_test.cc.
-NumSolution solve_oracle(const NumProblem& problem,
-                         const NumSolverOptions& options = {}) {
+struct Solution {
+  std::vector<double> rates;
+  std::vector<double> prices;
+  int sweeps = 0;
+  bool converged = false;
+  double max_violation = 0.0;
+};
+
+// Compiles and solves once through the CSR path.
+Solution solve_oracle(const NumProblem& problem,
+                      const NumSolverOptions& options = {}) {
   const CsrProblem csr = CsrProblem::compile(problem);
   NumWorkspace workspace;
   const SolveStats stats = solve(csr, workspace, options);
-  NumSolution solution;
+  Solution solution;
   solution.rates.assign(workspace.rates().begin(), workspace.rates().end());
   solution.prices.assign(workspace.prices().begin(), workspace.prices().end());
   solution.sweeps = stats.sweeps;

@@ -16,7 +16,7 @@
 #include "app/metrics.h"
 #include "app/run_plan.h"
 #include "app/sweep.h"
-#include "app/worker_pool.h"
+#include "util/worker_pool.h"
 
 namespace numfabric::app {
 namespace {
@@ -110,7 +110,7 @@ TEST(RunPlanTest, SingleSpecAndRejectsDuplicates) {
 
 TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
   for (const int jobs : {1, 2, 8}) {
-    WorkerPool pool(jobs);
+    util::WorkerPool pool(jobs);
     std::vector<std::atomic<int>> hits(100);
     pool.parallel_for(100, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
     for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1) << "jobs=" << jobs;
@@ -118,7 +118,7 @@ TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkerPoolTest, ReusableAcrossBatchesAndMoreJobsThanTasks) {
-  WorkerPool pool(8);
+  util::WorkerPool pool(8);
   for (int batch = 0; batch < 3; ++batch) {
     std::atomic<int> sum{0};
     pool.parallel_for(3, [&](int i) { sum += i + 1; });
@@ -128,8 +128,9 @@ TEST(WorkerPoolTest, ReusableAcrossBatchesAndMoreJobsThanTasks) {
 }
 
 TEST(WorkerPoolTest, ResolveJobs) {
-  EXPECT_EQ(WorkerPool::resolve_jobs(3), 3);
-  EXPECT_GE(WorkerPool::resolve_jobs(0), 1);  // auto = hardware concurrency
+  EXPECT_EQ(util::WorkerPool::resolve_jobs(3), 3);
+  // 0 = auto: hardware concurrency.
+  EXPECT_GE(util::WorkerPool::resolve_jobs(0), 1);
 }
 
 // --- sweep engine ----------------------------------------------------------

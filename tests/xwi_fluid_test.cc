@@ -13,8 +13,7 @@
 namespace numfabric::num {
 namespace {
 
-// Oracle rates via the compiled CSR path (the solve_num(NumProblem) adapter
-// is a compatibility shim; its coverage lives in csr_solver_test.cc).
+// Oracle rates via the compiled CSR path.
 std::vector<double> oracle_rates(const NumProblem& problem) {
   const CsrProblem csr = CsrProblem::compile(problem);
   NumWorkspace workspace;
