@@ -1,13 +1,12 @@
 #include "exp/dynamic_workload.h"
 
-#include <memory>
-#include <stdexcept>
+#include <algorithm>
+#include <vector>
 
 #include "exp/common.h"
-#include "net/routing.h"
+#include "exp/flow_plan.h"
 #include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
-#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 
@@ -34,60 +33,30 @@ DynamicWorkloadResult run_dynamic_workload(const DynamicWorkloadOptions& options
       plan_fabric(options.topology, options.jellyfish, options.k_paths);
   materialize_fabric(built, topo, fabric.queue_factory());
   fabric.attach_agents(topo);
-  const LinkIndexer indexer(topo);
-
-  sim::Rng rng(options.seed);
-  const auto arrivals =
-      workload::poisson_flows(built.mat.hosts, built.host_rate_bps,
-                              options.load, *options.sizes, options.flow_count, rng);
+  const FlowPlan plan = plan_poisson(built, options);
 
   const num::AlphaFairUtility utility(options.alpha);
-
-  // Launch the packet-level flows and, in parallel, assemble the fluid
-  // oracle's input (same arrivals, same paths).
-  std::vector<num::FluidFlow> fluid_flows;
-  fluid_flows.reserve(arrivals.size());
   std::vector<const transport::Flow*> flows;
-  flows.reserve(arrivals.size());
+  flows.reserve(plan.flows.size());
   int completed = 0;
   fabric.set_on_complete([&completed](transport::Flow&) { ++completed; });
-
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto& arrival = arrivals[i];
-    transport::FlowSpec spec;
-    spec.src = arrival.pair.src;
-    spec.dst = arrival.pair.dst;
-    spec.size_bytes = arrival.size_bytes;
-    spec.start_time = arrival.arrival;
-    spec.utility = &utility;
-    const auto& paths = pair_paths(built, built.host_node.at(arrival.pair.src),
-                                   built.host_node.at(arrival.pair.dst));
-    const auto& picked =
-        paths[net::ecmp_index(paths.size(), static_cast<net::FlowId>(i + 1))];
-    spec.path = to_packet_path(built, picked);
-
-    num::FluidFlow fluid;
-    fluid.arrival_seconds = sim::to_seconds(arrival.arrival);
-    fluid.size_bytes = static_cast<double>(arrival.size_bytes);
-    fluid.links = picked;  // graph link ids == LinkIndexer indices
-    fluid.utility = &utility;
-    fluid_flows.push_back(std::move(fluid));
-
-    flows.push_back(fabric.add_flow(std::move(spec)));
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
+    flows.push_back(fabric.add_flow(plan.packet_spec(built, i, &utility)));
   }
 
   // Run until everything finishes (or the horizon hits).
-  while (completed < static_cast<int>(arrivals.size()) &&
+  while (completed < static_cast<int>(flows.size()) &&
          sim.now() < options.horizon && sim.pending()) {
     sim.run_until(std::min(sim.now() + sim::millis(5), options.horizon));
   }
 
-  // Fluid oracle: ideal FCT per flow.
+  // Fluid oracle on the same plan: ideal FCT per flow.
   num::NumSolverOptions solver_options;
   solver_options.tolerance = 1e-8;
   solver_options.policy = num::ExecutionPolicy::parallel(options.solver_threads);
   const num::FluidFctResult oracle =
-      num::fluid_fct_oracle(fluid_flows, indexer.capacities(), solver_options);
+      num::fluid_fct_oracle(plan.fluid_flows(&utility),
+                            graph_capacities(built.graph), solver_options);
 
   DynamicWorkloadResult result;
   result.bdp_bytes =

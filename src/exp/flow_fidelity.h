@@ -1,11 +1,12 @@
 // Flow-fidelity (fidelity=flow) experiment runners.
 //
 // Each runner here is the flow-fluid twin of a packet-level experiment: it
-// draws the *same* workload (same seed, same RNG call order, same ECMP path
-// picks) on the *same* topology, but advances it with flowsim::FlowSimEngine
-// instead of the packet substrate — one warm NUM re-solve per epoch instead
-// of millions of packet events.  Results come back in the packet runner's
-// result struct so the scenario layer emits identical tables either way.
+// takes the *same* flow plan (exp/flow_plan.h: one seeded draw, one ECMP
+// pick per flow) on the *same* topology, but advances it with
+// flowsim::FlowSimEngine instead of the packet substrate — one warm NUM
+// re-solve per epoch instead of millions of packet events.  Results come
+// back in the packet runner's result struct so the scenario layer emits
+// identical tables either way.
 //
 // Comparability: the fluid model has no propagation delay, so every
 // completion time is charged one base cross-leaf RTT (exactly the

@@ -1,10 +1,11 @@
 #include "exp/trace_replay.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
+#include <optional>
+#include <vector>
 
-#include "net/routing.h"
+#include "exp/common.h"
+#include "exp/flow_plan.h"
 #include "num/utility.h"
 #include "sim/simulator.h"
 
@@ -16,40 +17,18 @@ TraceReplayResult run_trace_replay(const TraceReplayOptions& options) {
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
   net::Topology topo(sim);
-  const net::LeafSpine leaf_spine =
-      net::build_leaf_spine(topo, options.topology, fabric.queue_factory());
+  BuiltFabric built = plan_fabric(options.topology, std::nullopt, 8);
+  materialize_fabric(built, topo, fabric.queue_factory());
   fabric.attach_agents(topo);
-
-  const int host_count = static_cast<int>(leaf_spine.hosts.size());
-  for (std::size_t i = 0; i < options.trace.size(); ++i) {
-    const workload::TraceFlow& flow = options.trace[i];
-    if (flow.src >= host_count || flow.dst >= host_count) {
-      throw std::invalid_argument(
-          "trace flow " + std::to_string(i) + ": host " +
-          std::to_string(std::max(flow.src, flow.dst)) +
-          " is outside the topology (" + std::to_string(host_count) +
-          " hosts)");
-    }
-  }
+  const FlowPlan plan = plan_trace(built, options.trace);
 
   const num::AlphaFairUtility utility(options.alpha);
   std::vector<const transport::Flow*> flows;
-  flows.reserve(options.trace.size());
+  flows.reserve(plan.flows.size());
   int completed = 0;
   fabric.set_on_complete([&completed](transport::Flow&) { ++completed; });
-
-  for (std::size_t i = 0; i < options.trace.size(); ++i) {
-    const workload::TraceFlow& entry = options.trace[i];
-    transport::FlowSpec spec;
-    spec.src = leaf_spine.hosts[static_cast<std::size_t>(entry.src)];
-    spec.dst = leaf_spine.hosts[static_cast<std::size_t>(entry.dst)];
-    spec.size_bytes = entry.size_bytes;
-    spec.start_time =
-        static_cast<sim::TimeNs>(entry.arrival_seconds * sim::kSecond + 0.5);
-    spec.utility = &utility;
-    const auto paths = net::all_shortest_paths(topo, spec.src, spec.dst);
-    spec.path = net::ecmp_pick(paths, static_cast<net::FlowId>(i + 1));
-    flows.push_back(fabric.add_flow(std::move(spec)));
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
+    flows.push_back(fabric.add_flow(plan.packet_spec(built, i, &utility)));
   }
 
   while (completed < static_cast<int>(options.trace.size()) &&

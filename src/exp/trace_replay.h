@@ -19,8 +19,8 @@ struct TraceReplayOptions {
   net::LeafSpineOptions topology;
   transport::FabricOptions fabric;
 
-  /// Host indices in the trace must be < hosts_per_leaf * num_leaves;
-  /// run_trace_replay throws std::invalid_argument otherwise.
+  /// Host indices in the trace must lie in [0, hosts_per_leaf *
+  /// num_leaves); both runners throw std::invalid_argument otherwise.
   std::vector<workload::TraceFlow> trace;
 
   double alpha = 1.0;

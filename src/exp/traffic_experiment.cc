@@ -5,11 +5,9 @@
 #include <stdexcept>
 
 #include "exp/common.h"
-#include "net/routing.h"
+#include "exp/flow_plan.h"
 #include "num/utility.h"
-#include "sim/random.h"
 #include "transport/receiver.h"
-#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 
@@ -28,6 +26,19 @@ TrafficPattern parse_traffic_pattern(const std::string& name) {
   if (name == "all-to-all" || name == "shuffle") return TrafficPattern::kAllToAll;
   throw std::invalid_argument("unknown traffic pattern '" + name +
                               "' (expected incast, permutation or all-to-all)");
+}
+
+double optimal_goodput_bps(TrafficPattern pattern, double nic_bps,
+                           std::size_t flow_count, std::size_t host_count) {
+  switch (pattern) {
+    case TrafficPattern::kIncast:
+      return nic_bps;
+    case TrafficPattern::kPermutation:
+      return nic_bps * static_cast<double>(flow_count);
+    case TrafficPattern::kAllToAll:
+      return nic_bps * static_cast<double>(host_count);
+  }
+  return 0.0;
 }
 
 TrafficResult run_traffic_experiment(const TrafficOptions& options) {
@@ -56,20 +67,7 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
   ShardSetup sharding;
   apply_sharding(sharding, engine, topo, fabric, built);
 
-  const std::vector<net::Host*>& hosts = built.mat.hosts;
-  sim::Rng rng(options.seed);
-  std::vector<workload::HostPair> pairs;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      pairs = workload::incast_pairs(hosts, options.incast_fanin, rng);
-      break;
-    case TrafficPattern::kPermutation:
-      pairs = workload::permutation_pairs(hosts, rng);
-      break;
-    case TrafficPattern::kAllToAll:
-      pairs = workload::all_to_all_pairs(hosts);
-      break;
-  }
+  const FlowPlan plan = plan_traffic(built, options);
 
   const bool rate_mode = options.flow_size_bytes == 0;
   const num::AlphaFairUtility utility(options.alpha);
@@ -81,20 +79,9 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
   });
 
   std::vector<const transport::Flow*> flows;
-  flows.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    transport::FlowSpec spec;
-    spec.src = pairs[i].src;
-    spec.dst = pairs[i].dst;
-    spec.size_bytes = options.flow_size_bytes;
-    spec.start_time = 0;
-    spec.utility = &utility;
-    const auto& paths = pair_paths(built, built.host_node.at(pairs[i].src),
-                                   built.host_node.at(pairs[i].dst));
-    spec.path = to_packet_path(
-        built, paths[net::ecmp_index(paths.size(),
-                                     static_cast<net::FlowId>(i + 1))]);
-    flows.push_back(fabric.add_flow(std::move(spec)));
+  flows.reserve(plan.flows.size());
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
+    flows.push_back(fabric.add_flow(plan.packet_spec(built, i, &utility)));
   }
 
   TrafficResult result;
@@ -132,19 +119,9 @@ TrafficResult run_traffic_experiment(const TrafficOptions& options) {
     }
   }
 
-  const double nic = built.host_rate_bps;
-  switch (options.pattern) {
-    case TrafficPattern::kIncast:
-      result.optimal_bps = nic;
-      break;
-    case TrafficPattern::kPermutation:
-      result.optimal_bps = nic * static_cast<double>(pairs.size());
-      break;
-    case TrafficPattern::kAllToAll:
-      result.optimal_bps = nic * static_cast<double>(hosts.size());
-      break;
-  }
-
+  result.optimal_bps =
+      optimal_goodput_bps(options.pattern, built.host_rate_bps, flows.size(),
+                          built.mat.hosts.size());
   result.sim_events = engine.events_executed();
   result.shard_perf = engine.shard_perf();
   for (const auto& link : topo.links()) {

@@ -95,4 +95,9 @@ struct TrafficResult {
 
 TrafficResult run_traffic_experiment(const TrafficOptions& options);
 
+/// TrafficResult::optimal_bps for `flow_count` flows of `pattern` among
+/// `host_count` hosts with `nic_bps` NICs.
+double optimal_goodput_bps(TrafficPattern pattern, double nic_bps,
+                           std::size_t flow_count, std::size_t host_count);
+
 }  // namespace numfabric::exp

@@ -123,8 +123,8 @@ void FlowSimEngine::finish() {
   result_.end_seconds = now_;
 }
 
-// Exact mode: the event-driven fluid system of num::fluid_fct_oracle —
-// identical arithmetic, so completion times match it bit-for-bit.
+// Exact mode: the event-driven fluid system.  num::fluid_fct_oracle steps
+// this mode to completion, so it is the only fluid loop in the repo.
 bool FlowSimEngine::step_exact() {
   admit_due_arrivals();
   resolve();
@@ -228,13 +228,6 @@ FlowSimResult FlowSimEngine::run() {
   stats.flowsim_epochs += static_cast<std::uint64_t>(result_.epochs);
   stats.flowsim_resolves += static_cast<std::uint64_t>(result_.resolves);
   return result_;
-}
-
-FlowSimResult run_flow_sim(std::vector<FlowSimFlow> flows,
-                           std::vector<double> capacities,
-                           const FlowSimOptions& options) {
-  FlowSimEngine engine(std::move(flows), std::move(capacities), options);
-  return engine.run();
 }
 
 }  // namespace numfabric::flowsim

@@ -14,9 +14,9 @@
 //
 // Two resolve disciplines (FlowSimOptions::resolve_interval_seconds):
 //  * 0 (exact): re-solve at every arrival and departure.  This is the
-//    event-driven fluid system of num::fluid_fct_oracle and reproduces its
-//    completion times bit-for-bit (locked by a test).  Cost: one warm solve
-//    per flow event — fine up to ~10^4 flows.
+//    event-driven fluid system, the paper's ideal oracle:
+//    num::fluid_fct_oracle is this mode stepped to completion.  Cost: one
+//    warm solve per flow event — fine up to ~10^4 flows.
 //  * T > 0 (epoch grid): re-solve on a fixed grid of period T.  Between grid
 //    points rates are frozen, so each flow's departure time is just
 //    remaining / rate — departures are processed analytically without a
@@ -39,6 +39,7 @@
 
 namespace numfabric::flowsim {
 
+/// One flow of the fluid system (num::FluidFlow is the same struct).
 struct FlowSimFlow {
   double arrival_seconds = 0.0;
   double size_bytes = 0.0;
@@ -80,14 +81,15 @@ struct FlowSimResult {
 };
 
 /// Compiles the flow set once, then steps epochs until every flow finished
-/// or the horizon passed.  step() exists so benchmarks can meter the
-/// per-epoch cost; run() is the normal entry point.  Deterministic: the same
+/// or the horizon passed.  run() is the normal entry point; step() lets
+/// benchmarks meter the per-epoch cost and lets the fluid oracle drive the
+/// exact mode without booking flowsim_* counters.  Deterministic: the same
 /// inputs produce byte-identical results for any thread count.
 class FlowSimEngine {
  public:
   /// Validates flows (positive size, non-empty path, non-null utility —
-  /// throws std::invalid_argument like the fluid oracle) and compiles the
-  /// CSR problem.  `capacities` are in rate units (Mbps).
+  /// throws std::invalid_argument otherwise) and compiles the CSR problem.
+  /// `capacities` are in rate units (Mbps).
   FlowSimEngine(std::vector<FlowSimFlow> flows, std::vector<double> capacities,
                 FlowSimOptions options = {});
 
@@ -130,10 +132,5 @@ class FlowSimEngine {
   bool finished_ = false;
   FlowSimResult result_;
 };
-
-/// Convenience wrapper mirroring num::fluid_fct_oracle's shape.
-FlowSimResult run_flow_sim(std::vector<FlowSimFlow> flows,
-                           std::vector<double> capacities,
-                           const FlowSimOptions& options = {});
 
 }  // namespace numfabric::flowsim

@@ -7,22 +7,22 @@
 // next event.  The resulting completion times define idealRate = size / FCT,
 // the denominator of Fig. 5's normalized rate deviation, and the ideal FCTs
 // for Fig. 7.
+//
+// That system is flowsim::FlowSimEngine's exact mode; this entry point
+// steps an exact-mode engine to completion and keeps the oracle's result
+// shape.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "flowsim/flow_sim_engine.h"
 #include "num/num_solver.h"
-#include "num/utility.h"
 
 namespace numfabric::num {
 
-struct FluidFlow {
-  double arrival_seconds = 0.0;
-  double size_bytes = 0.0;
-  std::vector<int> links;                       // path (link indices)
-  const UtilityFunction* utility = nullptr;     // non-owning
-};
+/// The engine's flow record under the oracle's historical name.
+using FluidFlow = flowsim::FlowSimFlow;
 
 struct FluidFctResult {
   /// Completion time (seconds since arrival) per flow, same order as input.
@@ -39,6 +39,9 @@ struct FluidFctResult {
 };
 
 /// Simulates the fluid system.  `capacities` are in rate units (Mbps).
+/// Throws std::invalid_argument on a malformed flow and std::logic_error
+/// when every active rate is zero.  The flowsim_* substrate counters are
+/// left alone: they count fidelity=flow runs, not oracle passes.
 /// Complexity: O(events * solver); intended for oracle use, not scale.
 FluidFctResult fluid_fct_oracle(const std::vector<FluidFlow>& flows,
                                 const std::vector<double>& capacities,

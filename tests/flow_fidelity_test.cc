@@ -1,6 +1,5 @@
 // Flow-fluid engine cross-validation.
 //
-//  * exact mode reproduces num::fluid_fct_oracle bit-for-bit;
 //  * grid mode upper-bounds exact FCTs and converges as the period shrinks;
 //  * flow-vs-packet FCT comparison on a dumbbell and a small leaf-spine
 //    (tolerance bands documented inline — the fluid model omits queueing
@@ -22,7 +21,6 @@
 #include "flowsim/virtual_fabric.h"
 #include "net/routing.h"
 #include "net/topology.h"
-#include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
 #include "transport/fabric.h"
 
@@ -48,50 +46,22 @@ std::vector<FlowSimFlow> staggered_flows(const num::UtilityFunction* u) {
   return flows;
 }
 
-std::vector<num::FluidFlow> as_fluid(const std::vector<FlowSimFlow>& flows) {
-  std::vector<num::FluidFlow> fluid(flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    fluid[i] = {flows[i].arrival_seconds, flows[i].size_bytes, flows[i].links,
-                flows[i].utility};
-  }
-  return fluid;
-}
-
 double mean(const std::vector<double>& values) {
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-TEST(FlowSimEngineTest, ExactModeMatchesFluidOracleBitForBit) {
-  num::AlphaFairUtility u(1.0);
-  const auto flows = staggered_flows(&u);
-  const std::vector<double> capacities = {9'000.0, 9'000.0};
-
-  const num::FluidFctResult oracle =
-      num::fluid_fct_oracle(as_fluid(flows), capacities);
-  const FlowSimResult engine = flowsim::run_flow_sim(flows, capacities, {});
-
-  // Bit-for-bit: the exact mode IS the oracle's event loop.
-  EXPECT_EQ(engine.fct_seconds, oracle.fct_seconds);
-  EXPECT_EQ(engine.ideal_rate, oracle.ideal_rate);
-  EXPECT_EQ(engine.completed, static_cast<int>(flows.size()));
-  EXPECT_EQ(engine.incomplete, 0);
-  // Exact mode re-solves at every arrival and departure.
-  EXPECT_EQ(engine.resolves, static_cast<std::int64_t>(oracle.solves));
-  EXPECT_EQ(engine.solver_sweeps, oracle.sweeps);
 }
 
 TEST(FlowSimEngineTest, GridModeUpperBoundsAndConvergesToExact) {
   num::AlphaFairUtility u(1.0);
   const auto flows = staggered_flows(&u);
   const std::vector<double> capacities = {9'000.0, 9'000.0};
-  const FlowSimResult exact = flowsim::run_flow_sim(flows, capacities, {});
+  const FlowSimResult exact = FlowSimEngine(flows, capacities).run();
 
   double previous_error = std::numeric_limits<double>::infinity();
   for (const double period : {1e-4, 1e-5, 1e-6}) {
     FlowSimOptions options;
     options.resolve_interval_seconds = period;
-    const FlowSimResult grid = flowsim::run_flow_sim(flows, capacities, options);
+    const FlowSimResult grid = FlowSimEngine(flows, capacities, options).run();
     ASSERT_EQ(grid.completed, static_cast<int>(flows.size())) << period;
     double max_error = 0.0;
     for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -119,7 +89,7 @@ TEST(FlowSimEngineTest, HorizonMarksStragglersIncomplete) {
   flows[1] = {0.0, 1e12, {0}, &u};   // cannot finish by the horizon
   FlowSimOptions options;
   options.horizon_seconds = 0.01;
-  const FlowSimResult result = flowsim::run_flow_sim(flows, {10'000.0}, options);
+  const FlowSimResult result = FlowSimEngine(flows, {10'000.0}, options).run();
   EXPECT_EQ(result.completed, 1);
   EXPECT_EQ(result.incomplete, 1);
   EXPECT_GT(result.fct_seconds[0], 0.0);
@@ -179,8 +149,7 @@ TEST(FlowFidelityCrossValidation, DumbbellFlowVsPacketFct) {
   for (std::size_t i = 0; i < sizes_bytes.size(); ++i) {
     fluid_flows[i] = {starts_seconds[i], sizes_bytes[i], {0}, &u};
   }
-  const FlowSimResult fluid =
-      flowsim::run_flow_sim(fluid_flows, {10'000.0}, {});
+  const FlowSimResult fluid = FlowSimEngine(fluid_flows, {10'000.0}).run();
 
   std::vector<double> packet_fct, fluid_fct;
   for (std::size_t i = 0; i < sizes_bytes.size(); ++i) {

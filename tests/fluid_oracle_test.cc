@@ -5,6 +5,7 @@
 #include "num/fluid_fct_oracle.h"
 #include "num/num_solver.h"
 #include "num/utility.h"
+#include "sim/substrate_stats.h"
 
 namespace numfabric::num {
 namespace {
@@ -118,6 +119,23 @@ TEST(FluidFctOracleTest, WarmStartPreservesPhysicsAndSavesSweeps) {
       << "warm-started re-solves should cost less than cold restarts "
       << "(solves=" << warm.solves << ", cold sweeps each=" << cold_sweeps
       << ")";
+}
+
+// The oracle is the flow engine's exact mode, stepped without run(): its
+// solves show in the solver counters but never in the flowsim_* perf rows,
+// which count fidelity=flow runs only.
+TEST(FluidFctOracleTest, BooksSolvesButNoFlowsimCounters) {
+  AlphaFairUtility u(1.0);
+  std::vector<FluidFlow> flows(2);
+  flows[0] = {0.0, 2e6, {0}, &u};
+  flows[1] = {0.8e-3, 2e6, {0}, &u};
+  const sim::SubstrateStats before = sim::substrate_stats();
+  const auto result = fluid_fct_oracle(flows, {10'000.0});
+  const sim::SubstrateStats delta = sim::substrate_stats() - before;
+  EXPECT_EQ(result.solves, 3);  // two arrivals, one departure
+  EXPECT_EQ(delta.solver_solves, 3u);
+  EXPECT_EQ(delta.flowsim_epochs, 0u);
+  EXPECT_EQ(delta.flowsim_resolves, 0u);
 }
 
 TEST(FluidFctOracleTest, RejectsMalformedFlows) {

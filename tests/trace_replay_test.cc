@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "exp/flow_fidelity.h"
 #include "exp/trace_replay.h"
 #include "workload/trace.h"
 
@@ -112,12 +113,21 @@ TEST(TraceReplayTest, ReplaysBuiltinTraceToCompletion) {
   }
 }
 
+// Traces built in code skip the CSV parser's checks, so both runners must
+// reject any host index outside [0, hosts) themselves.
 TEST(TraceReplayTest, RejectsOutOfRangeHosts) {
   exp::TraceReplayOptions options;
   options.topology.hosts_per_leaf = 2;
   options.topology.num_leaves = 1;  // 2 hosts: indices 0 and 1
-  options.trace = {{0.0, 1000, 0, 5}};
-  EXPECT_THROW(exp::run_trace_replay(options), std::invalid_argument);
+  for (const TraceFlow& bad :
+       {TraceFlow{0.0, 1000, 0, 5}, TraceFlow{0.0, 1000, -1, 1}}) {
+    options.trace = {bad};
+    EXPECT_THROW(exp::run_trace_replay(options), std::invalid_argument)
+        << bad.src << "->" << bad.dst;
+    EXPECT_THROW(exp::run_trace_replay_flow(options, 0.0, 1),
+                 std::invalid_argument)
+        << bad.src << "->" << bad.dst;
+  }
 }
 
 }  // namespace
