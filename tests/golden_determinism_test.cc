@@ -226,18 +226,20 @@ TEST(GoldenDeterminismTest, FlowFidelitySweepIsJobCountInvariant) {
       << serial.substr(0, 2000);
 }
 
-// The dual-fidelity twin paths no sweep golden above covers, one small
-// fixed point each: packet websearch-fct (packet runner + fluid oracle),
-// trace replay at both fidelities, and the flow-fidelity traffic runner in
-// FCT (shuffle) and rate (permutation) mode.  Every case runs on a 2x2x1
-// fabric with incremental=off, so every byte is exact.
-TEST(GoldenDeterminismTest, DualFidelityTwinPathsMatchGoldens) {
-  struct TwinCase {
+// Small fixed points no sweep golden above covers, one run each on a 2x2x1
+// fabric with incremental=off, so every byte is exact:
+//  * the dual-fidelity twin paths: packet websearch-fct (packet runner +
+//    fluid oracle), trace replay at both fidelities, and the flow-fidelity
+//    traffic runner in FCT (shuffle) and rate (permutation) mode;
+//  * the DGD and RCP* control laws at packet level, on incast (FCT mode)
+//    and permutation (rate mode) — the only goldens that run those schemes.
+TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
+  struct FixedPoint {
     const char* scenario;
     std::vector<std::pair<std::string, std::string>> options;
     const char* golden;
   };
-  const TwinCase cases[] = {
+  const FixedPoint cases[] = {
       {"websearch-fct",
        {{"fidelity", "packet"}, {"flows", "40"}, {"loads", "0.5"},
         {"horizon_ms", "300"}},
@@ -250,23 +252,36 @@ TEST(GoldenDeterminismTest, DualFidelityTwinPathsMatchGoldens) {
        "60b12899ddf5dcc0"},
       {"shuffle", {{"fidelity", "flow"}}, "91188e1a60cc4a9"},
       {"permutation", {{"fidelity", "flow"}}, "f9493a6a94f8efd3"},
+      {"incast",
+       {{"transport", "dgd"}, {"fanin", "3"}, {"flow_kb", "32"}},
+       "4bfc8b131e1a0fd4"},
+      {"incast",
+       {{"transport", "rcp"}, {"fanin", "3"}, {"flow_kb", "32"}},
+       "7841fe5ba1dfacc6"},
+      {"permutation",
+       {{"transport", "dgd"}, {"flow_kb", "0"}},
+       "8495cb1a32240432"},
+      {"permutation",
+       {{"transport", "rcp"}, {"flow_kb", "0"}},
+       "c6843d73c301994b"},
   };
   register_builtin_scenarios();
-  for (const TwinCase& twin : cases) {
-    const Scenario* scenario = ScenarioRegistry::global().find(twin.scenario);
-    ASSERT_NE(scenario, nullptr) << twin.scenario;
+  for (const FixedPoint& point : cases) {
+    const Scenario* scenario = ScenarioRegistry::global().find(point.scenario);
+    ASSERT_NE(scenario, nullptr) << point.scenario;
     Options options;
     options.set("topology", "2x2x1");
     options.set("incremental", "off");
-    for (const auto& [key, value] : twin.options) options.set(key, value);
+    for (const auto& [key, value] : point.options) options.set(key, value);
     MetricWriter metrics;
     RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false};
     const PerfSnapshot snapshot;
     scenario->run(ctx);
     record_perf(metrics, snapshot.delta());
     const std::string csv = normalize(metrics);
-    EXPECT_EQ(fnv1a_hex(csv), twin.golden)
-        << twin.scenario << " fidelity=" << options.get("fidelity", "")
+    EXPECT_EQ(fnv1a_hex(csv), point.golden)
+        << point.scenario << " fidelity=" << options.get("fidelity", "")
+        << " transport=" << options.get("transport", "")
         << " output changed. If intentional, update its golden.\n"
         << "--- normalized CSV (first 2000 chars) ---\n"
         << csv.substr(0, 2000);
