@@ -34,13 +34,9 @@ net::LeafSpine build_fabric(net::Topology& topo, transport::Fabric& fabric,
 /// of the first `hold`-long run of samples where no price moves more than
 /// `margin` relative to the larger of its old and new values.
 ///
-/// Prices come from the batched ControlPlane's contiguous snapshot span,
-/// indexed by the core links' slot ids — one array scan per sample instead
-/// of N virtual agent->price() calls.  Gated by the explicit
-/// Fabric::exposes_price_snapshot() capability: a NUMFabric wiring that
-/// cannot publish prices (legacy_link_agents) throws instead of silently
-/// recording no samples, and non-NUM schemes simply disable tracking (their
-/// convergence metric reports NaN).
+/// Prices come from the ControlPlane's contiguous snapshot span, indexed by
+/// the core links' slot ids.  Only NUMFabric's xWI prices are tracked; other
+/// schemes disable tracking (their convergence metric reports NaN).
 struct PriceTracker {
   std::span<const double> prices;        // ControlPlane snapshot, by slot
   std::vector<std::uint32_t> slots;      // core links' slot ids
@@ -53,17 +49,12 @@ struct PriceTracker {
                const std::vector<net::Link*>& core_links,
                const PriceConvergenceOptions& opts)
       : options(opts) {
-    if (fabric.exposes_price_snapshot()) {
+    if (fabric.options().scheme == transport::Scheme::kNumFabric) {
       prices = fabric.control_plane()->snapshot_prices();
       slots.reserve(core_links.size());
       for (const net::Link* link : core_links) {
         slots.push_back(link->control_slot());
       }
-    } else if (fabric.options().scheme == transport::Scheme::kNumFabric) {
-      throw std::invalid_argument(
-          "price-convergence tracking needs the batched ControlPlane's price "
-          "snapshot, which legacy_link_agents mode does not expose; disable "
-          "legacy_link_agents for this experiment");
     }
     last.resize(size(), 0.0);
   }

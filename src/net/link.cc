@@ -31,15 +31,13 @@ void Link::set_rate_bps(double rate_bps) {
 
 void Link::send(Packet&& packet) {
   // Inline control-plane enqueue hook: an index-addressed store into the
-  // ControlPlane's SoA arrays (the batched replacement for the virtual
-  // LinkAgent::on_enqueue).
+  // ControlPlane's SoA arrays (xWI tracks the min residual of DATA packets).
   if (control_mode_ == ControlStamp::kXwiPrice && packet.is_data() &&
       std::isfinite(packet.normalized_residual)) {
     double& min_res = control_->min_residual[control_slot_];
     min_res = std::min(min_res, packet.normalized_residual);
     control_->saw_residual[control_slot_] = 1;
   }
-  if (agent_) agent_->on_enqueue(packet);
   if (!queue_->enqueue(std::move(packet))) return;  // dropped; stats in Queue
   try_start_tx();
 }
@@ -62,7 +60,6 @@ void Link::try_start_tx() {
       }
     }
   }
-  if (agent_) agent_->on_dequeue(*next);
   bytes_sent_ += next->size;
   auto& stats = sim::substrate_stats();
   ++stats.packets_forwarded;

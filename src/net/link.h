@@ -2,9 +2,10 @@
 //
 // Store-and-forward: a packet occupies the transmitter for size*8/rate, then
 // arrives at the peer node `delay` later.  Per-link protocol state (xWI
-// prices, DGD prices, RCP* fair-share rates) hangs off the link as a
-// LinkAgent, mirroring how the paper attaches per-egress-port computation to
-// switches (Fig. 3).
+// prices, DGD prices, RCP* fair-share rates) lives in a
+// transport::ControlPlane, the paper's per-egress-port computation (Fig. 3):
+// a link wired to it by attach_control() records observations and stamps
+// headers inline as packets are enqueued and dequeued.
 #pragma once
 
 #include <cstdint>
@@ -20,22 +21,6 @@ namespace numfabric::net {
 
 class Node;
 class ShardRouter;
-
-/// Per-link hook for scheme-specific state machines.  This is the legacy
-/// object-per-link encoding (one virtual agent, one timer event per link);
-/// production fabrics wire links into the batched transport::ControlPlane
-/// via attach_control() instead, and the agent classes remain as reference
-/// implementations the parity tests compare the batched sweep against.
-class LinkAgent {
- public:
-  virtual ~LinkAgent() = default;
-
-  /// Called before the packet is offered to the queue.
-  virtual void on_enqueue(const Packet& packet) { (void)packet; }
-
-  /// Called when the packet begins serialization (may stamp header fields).
-  virtual void on_dequeue(Packet& packet) { (void)packet; }
-};
 
 /// What the inline control-plane hooks do on this link's hot path (which
 /// observation the data path records and which packet field the per-link
@@ -89,9 +74,6 @@ class Link {
   Link* twin() const { return twin_; }
   void set_twin(Link* twin) { twin_ = twin; }
 
-  void set_agent(std::unique_ptr<LinkAgent> agent) { agent_ = std::move(agent); }
-  LinkAgent* agent() const { return agent_.get(); }
-
   /// Wires this link into a batched control plane: the forwarding hot path
   /// reads/writes `arrays` at index `slot` according to `mode`.  The caller
   /// guarantees the arrays outlive the link's last forwarded packet and stay
@@ -135,7 +117,6 @@ class Link {
   std::unique_ptr<Queue> queue_;
   Node* dst_;
   Link* twin_ = nullptr;
-  std::unique_ptr<LinkAgent> agent_;
   // Batched control plane wiring (see attach_control).
   const LinkControlArrays* control_ = nullptr;
   std::uint32_t control_slot_ = 0;

@@ -10,11 +10,19 @@
 namespace numfabric::transport {
 namespace {
 
-// RCP* clamps, identical to the legacy RcpLinkAgent (see rcp_link_agent.cc
-// for the rationale: R must be able to exceed C for Eq. 16's composition,
-// and the per-update gain is bounded to keep large transients stable).
+// RCP*'s R is kept within [kRcpMinShareFraction * C, kRcpMaxShareFactor * C].
+// The upper bound intentionally exceeds the capacity by a wide margin: RCP*'s
+// rate composition x = (sum_l R_l^-alpha)^(-1/alpha) (Eq. 16) needs links to
+// advertise MORE than C at equilibrium — e.g. a lone flow over two equal
+// links only reaches C when each advertises ~2C.  Underutilized links keep
+// raising R until their own throughput meets capacity.
 constexpr double kRcpMinShareFraction = 1e-4;
 constexpr double kRcpMaxShareFactor = 1e3;
+// Per-update multiplicative change bound on R.  With Table 2's gains
+// (a = 3.6) a large rate-capacity mismatch makes the raw factor (1 + gain)
+// negative, which would flip R's sign; real RCP implementations bound the
+// step.  The clamp only engages during large transients and does not move
+// equilibria.
 constexpr double kRcpMaxGain = 0.3;
 
 sim::TimeNs interval_for(const ControlPlane::Params& params) {
@@ -81,7 +89,7 @@ void ControlPlane::attach_links(net::Topology& topo) {
       mode = net::ControlStamp::kFeedback;
       fair_share_bps_.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
-        // Same start as the legacy agent: advertise the link's own capacity.
+        // Every link starts by advertising its own capacity.
         fair_share_bps_[i] = links_[i]->rate_bps();
         stamp_[i] = std::pow(num::to_rate_units(fair_share_bps_[i]),
                              -params_.rcp.alpha);
@@ -146,11 +154,13 @@ void ControlPlane::sweep_range(std::size_t begin, std::size_t end) {
   }
 }
 
-// Fig. 3's per-interval price update, link-for-link identical to
-// XwiLinkAgent::on_update: a backlogged link counts as fully utilized (byte
-// counting alone undercounts by up to a packet per interval), a quiet
-// interval contributes min_res = 0 so only the under-utilization term acts,
-// and the new price is beta-averaged with the old.
+// Fig. 3's per-interval price update (Eqs. 10, 11; see control_plane.h).  A
+// link with a standing backlog counts as fully utilized: byte counting alone
+// undercounts by up to a packet per interval (boundary slicing), and that
+// fractional shortfall would let the eta term cancel legitimately positive
+// residuals and park the price below the optimum.  A quiet interval
+// contributes min_res = 0, so only the under-utilization term acts, and the
+// new price is beta-averaged with the old.
 void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
   const double eta = params_.numfabric.eta;
   const double beta = params_.numfabric.beta;
@@ -174,7 +184,13 @@ void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
   }
 }
 
-// Eq. 14, identical to DgdLinkAgent::on_update.
+// DGD's per-link price update, Eq. 14:
+//
+//   p <- [ p + a (y - C) + b q ]_+
+//
+// with y the link's throughput over the last interval and C its capacity
+// (both in Mbps, matching Table 2's units for a), and q the instantaneous
+// queue backlog in bytes.
 void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
   const double a = params_.dgd.a;
   const double b = params_.dgd.b;
@@ -191,9 +207,18 @@ void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
   }
 }
 
-// Eq. 15, identical to RcpLinkAgent::on_update — plus the batching dividend:
-// the per-packet stamp R^-alpha is one std::pow per link per tick here,
-// where the legacy agent paid it on every data dequeue.
+// RCP*'s per-link fair-share update, Eq. 15:
+//
+//   R <- R * ( 1 + (T/d) * ( a (C - y) - b q/d ) / C )
+//
+// with T the update interval, y the link's throughput over the last
+// interval and q its queue backlog; the step and R are clamped by the
+// constants at the top of this file.  d is "the running average of the RTT
+// of the flows".  Flows' RTTs include queueing delay, which is RCP's natural
+// damping: as the backlog grows, T/d shrinks.  d is approximated as the
+// configured avg_rtt (the fabric's base RTT) plus this link's queueing
+// delay.  R only changes here, so the per-packet stamp R^-alpha costs one
+// std::pow per link per tick.
 void ControlPlane::sweep_rcp(std::size_t begin, std::size_t end) {
   const double t = interval_seconds_;
   const double alpha = params_.rcp.alpha;

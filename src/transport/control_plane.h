@@ -1,30 +1,40 @@
 // Batched control plane: one synchronized price tick over dense SoA state.
 //
-// NUMFabric's xWI layer (Fig. 3) — and the DGD / RCP* comparison schemes —
-// are defined as *synchronized* per-interval updates of per-link state: the
-// paper assumes PTP-grade clock sync and has every switch recompute at the
-// same instants (§5, Table 2: every 30 us).  The natural object-per-link
-// encoding (one LinkAgent with its own timer each) costs N heap events, N
-// closure dispatches and 2 virtual calls per forwarded packet; on a 144-host
-// leaf-spine that control churn rivals the allocation-free data path.
+// NUMFabric's xWI layer (Fig. 3) and the DGD (Eq. 14) and RCP* (Eq. 15)
+// comparison schemes are defined as *synchronized* per-interval updates of
+// per-link state: the paper assumes PTP-grade clock sync and has every
+// switch recompute at the same instants (§5, Table 2: every 30 us for xWI,
+// 16 us for DGD and RCP*).  ControlPlane is the one implementation of all
+// three.  It owns every link's state for the active scheme in
+// structure-of-arrays form — prices, residual observations, serviced bytes,
+// RCP* fair shares, the per-packet stamps — and drives the fabric from ONE
+// sim::PeriodicTick: every interval a single event sweeps the links in slot
+// order.  The forwarding hot path reads/writes the arrays through an index
+// baked into each Link (net::LinkControlArrays; no virtual dispatch), and
+// the per-packet RCP* stamp R^-alpha is computed once per tick instead of
+// one std::pow per packet.
 //
-// ControlPlane is the batched replacement.  It owns ALL per-link agent state
-// for the active scheme in structure-of-arrays form — prices, residual
-// observations, serviced bytes, RCP* fair shares, the per-packet stamps —
-// and drives the fabric from ONE sim::PeriodicTick: every interval a single
-// event sweeps links in slot order.  The forwarding hot path reads/writes
-// the arrays through an index baked into each Link (net::LinkControlArrays;
-// no virtual dispatch), and the per-packet RCP* stamp R^-alpha is computed
-// once per tick instead of one std::pow per packet.
+// Fig. 3's pseudo-code, split between net::Link's data path (enqueue and
+// dequeue) and sweep_xwi (every T):
 //
-// Determinism contract: slots are assigned in topology link order (the order
-// Fabric::attach_agents used to construct agents), the sweep visits slots
-// 0..N-1 in that order, and the tick fires on the same grid timestamps with
-// the same same-timestamp FIFO position as the legacy agents' events.  Those
-// events always formed a contiguous run in link order (each agent re-armed
-// immediately after its update, so their sequence numbers stayed contiguous
-// by induction), which is why collapsing them into one event preserves
-// packet-level behavior bit-for-bit — the parity test locks this.
+//   enqueue(DATA p):  minRes = min(p.normalizedResidual, minRes)
+//   dequeue(p):       bytesServiced += p.length
+//                     DATA p: p.pathPrice += price; p.pathLen += 1
+//   every T:          u = bytesServiced / (T * C)
+//                     newPrice = max(price + minRes - eta*(1-u)*price, 0)
+//                     price = beta*price + (1-beta)*newPrice
+//
+// An interval that saw no data packet has no minRes observation; only the
+// under-utilization term acts then, driving an idle link's price to zero
+// as Eq. 10 requires.  DGD and RCP* share the dequeue half, accumulating
+// the link's price (DGD) or R^-alpha (RCP*) into DATA packets'
+// path_feedback; their sweeps are documented in control_plane.cc.
+//
+// Determinism contract: slots are assigned in topology link order, the
+// sweep visits slots 0..N-1 in that order, and the tick fires on the global
+// grid of interval multiples with the FIFO position sim::PeriodicTick
+// documents.  tests/control_plane_test.cc checks each sweep against the
+// paper's equations; the golden hashes pin whole runs of all three schemes.
 //
 // Lifetime: the Fabric owns the ControlPlane; the Topology owns the Links.
 // Links write into the arrays only while forwarding, so the usual
@@ -87,8 +97,7 @@ class ControlPlane {
 
   /// Current per-link prices in slot order — xWI prices (kNumFabric) or DGD
   /// prices (kDgd).  Index with net::Link::control_slot().  The span stays
-  /// valid (and its values live) for the ControlPlane's lifetime; reading it
-  /// replaces N virtual agent->price() calls with one contiguous scan.
+  /// valid (and its values live) for the ControlPlane's lifetime.
   std::span<const double> snapshot_prices() const { return price_; }
 
   /// Current RCP* advertised fair shares in slot order, bps (kRcpStar).

@@ -8,10 +8,7 @@
 #include "net/pfabric_queue.h"
 #include "net/routing.h"
 #include "net/wfq_queue.h"
-#include "transport/dgd/dgd_link_agent.h"
 #include "transport/numfabric/swift_sender.h"
-#include "transport/numfabric/xwi_link_agent.h"
-#include "transport/rcp/rcp_link_agent.h"
 #include "transport/receiver.h"
 #include "transport/sender_base.h"
 
@@ -56,37 +53,11 @@ net::QueueFactory Fabric::queue_factory(std::size_t capacity_bytes) const {
 }
 
 void Fabric::attach_agents(net::Topology& topo) {
-  if (!options_.legacy_link_agents) {
-    control_plane_ = ControlPlane::attach(
-        sim_,
-        ControlPlane::Params{options_.scheme, options_.numfabric, options_.dgd,
-                             options_.rcp, options_.control_threads},
-        topo);
-    return;
-  }
-  // Legacy object-per-link wiring, kept for the parity tests: each agent is
-  // the executable reference spec the batched sweep is compared against.
-  for (const auto& link : topo.links()) {
-    switch (options_.scheme) {
-      case Scheme::kNumFabric: {
-        const auto& c = options_.numfabric;
-        link->set_agent(std::make_unique<XwiLinkAgent>(
-            sim_, *link,
-            XwiLinkAgent::Params{c.price_update_interval, c.eta, c.beta,
-                                 c.initial_price}));
-        break;
-      }
-      case Scheme::kDgd:
-        link->set_agent(std::make_unique<DgdLinkAgent>(sim_, *link, options_.dgd));
-        break;
-      case Scheme::kRcpStar:
-        link->set_agent(std::make_unique<RcpLinkAgent>(sim_, *link, options_.rcp));
-        break;
-      case Scheme::kDctcp:
-      case Scheme::kPFabric:
-        break;  // all state lives in the queues / hosts
-    }
-  }
+  control_plane_ = ControlPlane::attach(
+      sim_,
+      ControlPlane::Params{options_.scheme, options_.numfabric, options_.dgd,
+                           options_.rcp, options_.control_threads},
+      topo);
 }
 
 std::unique_ptr<SenderBase> Fabric::make_sender(sim::Simulator& sim,
@@ -114,10 +85,6 @@ std::unique_ptr<SenderBase> Fabric::make_sender(sim::Simulator& sim,
 
 void Fabric::set_sharding(const net::ShardPlan* plan,
                           sim::ShardedSimulator* engine) {
-  if (options_.legacy_link_agents) {
-    throw std::logic_error(
-        "Fabric::set_sharding: legacy_link_agents is not shardable");
-  }
   shard_plan_ = plan;
   engine_ = engine;
   engine->add_barrier_hook([this] {

@@ -1,11 +1,12 @@
-// Fabric: per-scheme wiring of queues, link agents and flow endpoints.
+// Fabric: per-scheme wiring of queues, the link control plane and flow
+// endpoints.
 //
 // Usage:
 //   sim::Simulator sim;
 //   transport::Fabric fabric(sim, {.scheme = Scheme::kNumFabric});
 //   net::Topology topo(sim);
 //   auto ls = net::build_leaf_spine(topo, {}, fabric.queue_factory());
-//   fabric.attach_agents(topo);            // per-link xWI/DGD/RCP state
+//   fabric.attach_agents(topo);            // ControlPlane: xWI/DGD/RCP* state
 //   fabric.add_flow(spec);                 // schedules start_time
 //   sim.run_until(sim::millis(50));
 //
@@ -54,11 +55,6 @@ struct FabricOptions {
   /// >1 runs the batched control plane's per-link sweep on this many worker
   /// threads (chunked by slot; bit-identical for any value).
   int control_threads = 1;
-  /// Test-only escape hatch: attach the legacy per-link agent objects (one
-  /// timer event per link per interval, virtual hooks) instead of the
-  /// batched ControlPlane.  The parity test runs both wirings over the same
-  /// workload and asserts identical packet-level behavior.
-  bool legacy_link_agents = false;
 };
 
 class Fabric {
@@ -75,27 +71,15 @@ class Fabric {
   /// tiers differently.  pFabric keeps its own shallow queues regardless.
   net::QueueFactory queue_factory(std::size_t capacity_bytes) const;
 
-  /// Attaches the scheme's per-link control state: builds the batched
-  /// ControlPlane over every link (or, with legacy_link_agents, the old
-  /// object-per-link agents).  Call once, after the topology is fully built
-  /// and before flows start.
+  /// Attaches the scheme's per-link control state: builds the ControlPlane
+  /// over every link of `topo` (a no-op for DCTCP and pFabric, whose state
+  /// lives in the queues and hosts).  Call once, after the topology is fully
+  /// built and before flows start.
   void attach_agents(net::Topology& topo);
 
-  /// The batched control plane, once attach_agents has run.  nullptr for
-  /// schemes without per-link control state (DCTCP, pFabric) and in
-  /// legacy_link_agents mode.
+  /// The control plane, once attach_agents has run.  Non-null exactly for
+  /// the schemes with per-link control state: NUMFabric, DGD and RCP*.
   const ControlPlane* control_plane() const { return control_plane_.get(); }
-
-  /// Capability query: does this fabric publish per-link xWI prices through
-  /// the batched ControlPlane's snapshot span?  True only for the NUMFabric
-  /// scheme with the batched wiring (not legacy_link_agents).  Price
-  /// instrumentation must key off this instead of probing link agents —
-  /// a NUMFabric run whose prices are unreachable should fail loudly, not
-  /// silently skip samples.
-  bool exposes_price_snapshot() const {
-    return control_plane_ != nullptr &&
-           control_plane_->scheme() == Scheme::kNumFabric;
-  }
 
   /// Registers a flow; endpoints are created and started at spec.start_time.
   /// If spec.id is 0 an id is assigned.  Returns a stable pointer.
@@ -119,8 +103,7 @@ class Fabric {
   /// simulator (per `plan`) instead of the global one, and the cross-shard
   /// half of completion bookkeeping is deferred to `engine`'s next barrier.
   /// Call once, after attach_agents and before any flow starts.  `plan` and
-  /// `engine` must outlive the fabric.  Throws std::logic_error in
-  /// legacy_link_agents mode (per-link timer agents are not shardable).
+  /// `engine` must outlive the fabric.
   void set_sharding(const net::ShardPlan* plan, sim::ShardedSimulator* engine);
 
  private:

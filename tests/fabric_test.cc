@@ -1,4 +1,4 @@
-// Fabric wiring tests: queue factories, agents, flow lifecycle.
+// Fabric wiring tests: queue factories, the control plane, flow lifecycle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -49,35 +49,11 @@ TEST(FabricTest, AttachesControlPlaneOnlyForPriceSchemes) {
         << scheme_name(scheme);
     EXPECT_EQ(topo.links()[0]->has_control_slot(), expects_control)
         << scheme_name(scheme);
-    // No per-link agent objects in the batched wiring.
-    EXPECT_EQ(topo.links()[0]->agent(), nullptr) << scheme_name(scheme);
     if (expects_control) {
       EXPECT_EQ(fabric.control_plane()->link_count(), topo.links().size());
       EXPECT_EQ(topo.links()[0]->control_slot(), 0u);
       EXPECT_EQ(topo.links()[1]->control_slot(), 1u);
     }
-  }
-}
-
-TEST(FabricTest, LegacyModeAttachesPerLinkAgents) {
-  sim::Simulator sim;
-  for (Scheme scheme : {Scheme::kNumFabric, Scheme::kDgd, Scheme::kRcpStar,
-                        Scheme::kDctcp, Scheme::kPFabric}) {
-    FabricOptions options;
-    options.scheme = scheme;
-    options.legacy_link_agents = true;
-    Fabric fabric(sim, options);
-    net::Topology topo(sim);
-    net::Host* a = topo.add_host("a");
-    net::Host* b = topo.add_host("b");
-    topo.connect(a, b, 10e9, sim::micros(1), fabric.queue_factory());
-    fabric.attach_agents(topo);
-    const bool expects_agent = scheme == Scheme::kNumFabric ||
-                               scheme == Scheme::kDgd ||
-                               scheme == Scheme::kRcpStar;
-    EXPECT_EQ(topo.links()[0]->agent() != nullptr, expects_agent)
-        << scheme_name(scheme);
-    EXPECT_EQ(fabric.control_plane(), nullptr) << scheme_name(scheme);
   }
 }
 
