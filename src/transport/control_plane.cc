@@ -131,7 +131,6 @@ void ControlPlane::sweep() {
       sweep_range(n * c / chunks, n * (c + 1) / chunks);
     });
   }
-  links_swept_ += n;
   auto& stats = sim::substrate_stats();
   ++stats.control_ticks;
   stats.links_swept += n;

@@ -86,24 +86,13 @@ class ControlPlane {
   Scheme scheme() const { return params_.scheme; }
   std::size_t link_count() const { return links_.size(); }
 
-  /// Update interval of the active scheme.
-  sim::TimeNs interval() const { return tick_.interval(); }
-
   /// Synchronized sweeps performed so far.
   std::uint64_t ticks() const { return tick_.ticks(); }
-
-  /// Per-link updates performed across all sweeps (== ticks * link_count).
-  std::uint64_t links_swept() const { return links_swept_; }
 
   /// Current per-link prices in slot order — xWI prices (kNumFabric) or DGD
   /// prices (kDgd).  Index with net::Link::control_slot().  The span stays
   /// valid (and its values live) for the ControlPlane's lifetime.
   std::span<const double> snapshot_prices() const { return price_; }
-
-  /// Current RCP* advertised fair shares in slot order, bps (kRcpStar).
-  std::span<const double> snapshot_fair_shares_bps() const {
-    return fair_share_bps_;
-  }
 
   double price(std::size_t slot) const { return price_[slot]; }
   double fair_share_bps(std::size_t slot) const {
@@ -137,7 +126,6 @@ class ControlPlane {
 
   net::LinkControlArrays arrays_;
   sim::PeriodicTick tick_;
-  std::uint64_t links_swept_ = 0;
   std::unique_ptr<util::WorkerPool> pool_;  // non-null iff params_.threads > 1
 };
 
