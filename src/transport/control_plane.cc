@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "num/utility.h"
 
@@ -59,6 +60,23 @@ ControlPlane::ControlPlane(sim::Simulator& sim, const Params& params)
   const sim::TimeNs interval = interval_for(params_);
   if (interval <= 0) {
     throw std::invalid_argument("ControlPlane: update interval must be > 0");
+  }
+  if (params_.scheme == Scheme::kNumFabric) {
+    // Eq. 10 drives an idle link's price to 0 only for eta >= 0, and Eq. 11
+    // is an average only for beta in [0, 1]: outside those ranges an idle
+    // link's price grows geometrically or flips sign every tick.
+    const double eta = params_.numfabric.eta;
+    const double beta = params_.numfabric.beta;
+    if (!(std::isfinite(eta) && eta >= 0)) {
+      throw std::invalid_argument(
+          "ControlPlane: xWI eta must be finite and >= 0, got " +
+          std::to_string(eta));
+    }
+    if (!(std::isfinite(beta) && beta >= 0 && beta <= 1)) {
+      throw std::invalid_argument(
+          "ControlPlane: xWI beta must be finite and in [0, 1], got " +
+          std::to_string(beta));
+    }
   }
   interval_seconds_ = sim::to_seconds(interval);
 }

@@ -75,7 +75,9 @@ class ControlPlane {
   /// `topo`: assigns slot ids in link order, wires the inline hot-path hooks
   /// into the SoA arrays, and arms the single periodic tick.  Returns
   /// nullptr for schemes with no per-link control state (DCTCP, pFabric).
-  /// Call once, after the topology is fully built.
+  /// Call once, after the topology is fully built.  Throws
+  /// std::invalid_argument on a non-positive update interval and, for
+  /// kNumFabric, unless eta is finite and >= 0 and beta is in [0, 1].
   static std::unique_ptr<ControlPlane> attach(sim::Simulator& sim,
                                               const Params& params,
                                               net::Topology& topo);

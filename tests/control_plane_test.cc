@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,6 +282,41 @@ TEST(ControlPlaneTest, RcpStampsRToTheMinusAlphaOncePerTick) {
   EXPECT_DOUBLE_EQ(feedback[0], 1.0 / (10'000.0 * 10'000.0));
   const double expected = 1.0 / (12'000.0 * 12'000.0);
   EXPECT_NEAR(feedback[1], expected, expected * 1e-12);
+}
+
+// --- parameters -------------------------------------------------------------
+
+TEST(ControlPlaneTest, RejectsOutOfRangeXwiGains) {
+  // Outside eta >= 0 and beta in [0, 1] an idle link's price grows or flips
+  // sign every tick instead of decaying to 0 (Eq. 10), so attach refuses
+  // the gains and names the bad one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto attach_error = [](double eta, double beta) -> std::string {
+    ControlPlane::Params params = xwi_params(0.01);
+    params.numfabric.eta = eta;
+    params.numfabric.beta = beta;
+    try {
+      Rig rig(params);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  for (const double beta : {-0.5, 1.5, nan}) {
+    EXPECT_NE(attach_error(5.0, beta).find("beta"), std::string::npos)
+        << "beta=" << beta;
+  }
+  for (const double eta : {-1.0, kInf}) {
+    EXPECT_NE(attach_error(eta, 0.5).find("eta"), std::string::npos)
+        << "eta=" << eta;
+  }
+  // The range ends, Table 2's gains and the sweeps' eta = 2..10 stay valid.
+  for (const double beta : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(attach_error(5.0, beta), "") << "beta=" << beta;
+  }
+  for (const double eta : {0.0, 2.0, 10.0}) {
+    EXPECT_EQ(attach_error(eta, 0.5), "") << "eta=" << eta;
+  }
 }
 
 // --- sweep execution --------------------------------------------------------

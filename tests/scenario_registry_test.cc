@@ -289,5 +289,15 @@ TEST(DriverTest, RejectsUnknownScenarioAndBadFormat) {
   EXPECT_EQ(run_cli(std::vector<std::string>{}), 2);  // missing --scenario
 }
 
+// sensitivity hands eta= and beta= straight to the xWI control plane; a
+// beta outside [0, 1] must fail the run instead of reporting 0 of N events
+// converged.
+TEST(DriverTest, SensitivityRejectsOutOfRangeBeta) {
+  EXPECT_EQ(run_cli({"--scenario=sensitivity", "topology=2x2x1", "paths=12",
+                     "initial_active=6", "flows_per_event=2", "min_active=4",
+                     "max_active=8", "events=2", "beta=1.5"}),
+            1);
+}
+
 }  // namespace
 }  // namespace numfabric::app
