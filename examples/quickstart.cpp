@@ -16,8 +16,8 @@
 using namespace numfabric;
 
 int main() {
-  // 1. The simulator clock and the NUMFabric wiring (WFQ queues + xWI
-  //    price agents, Table 2 default parameters).
+  // 1. The simulator clock and the NUMFabric wiring (WFQ queues + the xWI
+  //    control plane, Table 2 default parameters).
   sim::Simulator sim;
   transport::Fabric fabric(sim, {.scheme = transport::Scheme::kNumFabric});
 

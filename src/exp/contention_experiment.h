@@ -12,8 +12,8 @@
 //    is interference: burst FCTs against the background throughput
 //    sacrificed while each burst drains.
 //
-// Both run any transport scheme; price convergence is only defined for
-// NUMFabric (xWI link agents) and reports NaN elsewhere.
+// Both run any transport scheme; price convergence is only tracked for
+// NUMFabric (xWI link prices) and reports NaN elsewhere.
 #pragma once
 
 #include <cstddef>
@@ -86,8 +86,8 @@ struct OversubFabricResult {
 
   /// Microseconds from the wave's launch until every core link's xWI price
   /// re-stabilized.  Sampling runs until the experiment ends (wave drained
-  /// and measurement window closed, or the horizon); NaN when the scheme has
-  /// no xWI agents or prices never held still by then.
+  /// and measurement window closed, or the horizon); NaN when the scheme is
+  /// not NUMFabric or prices never held still by then.
   double price_convergence_us = 0;
 
   std::uint64_t sim_events = 0;

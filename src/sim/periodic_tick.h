@@ -11,8 +11,7 @@
 //
 // Ordering contract: the next fire is pushed AFTER the callback returns, so
 // relative to other events at the same grid timestamp the tick keeps the
-// FIFO position its reschedule earned on the previous tick — exactly the
-// behavior of the self-rescheduling per-link agent events it replaces.
+// FIFO position its reschedule earned on the previous tick.
 #pragma once
 
 #include <cstdint>

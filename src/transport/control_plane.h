@@ -115,7 +115,7 @@ class ControlPlane {
   Params params_;
   double interval_seconds_ = 0;
 
-  // Per-link agent state in SoA form, indexed by slot == topology link
+  // Per-link control state in SoA form, indexed by slot == topology link
   // order.  Sized once at attach; never moves afterwards (links hold raw
   // pointers into the arrays via arrays_).
   std::vector<net::Link*> links_;

@@ -105,7 +105,7 @@ TEST(PeriodicTickTest, KeepsFifoPositionAmongSameTimestampEvents) {
   // Events at the tick's grid time scheduled BEFORE the tick was armed run
   // before it; events scheduled after run after it.  On subsequent grid
   // points the tick's position is set by its reschedule (pushed during the
-  // previous fire), exactly like the per-link agent chains it replaces.
+  // previous fire).
   Simulator sim;
   PeriodicTick tick;
   std::vector<int> order;
