@@ -217,6 +217,19 @@ TEST(ControlPlaneTest, DgdPriceTakesOneGradientStep) {
   EXPECT_EQ(feedback[0], 1e-4);
 }
 
+TEST(ControlPlaneTest, DgdBacklogAddsTheQueueTerm) {
+  // Three 10 KB packets at 1 us, 8 us each to serialize: two are dequeued
+  // before the 16 us tick (y = 160 kbit / 16 us = 10000 Mbps = C) and one
+  // waits in the queue (q = 10000 B), so only the queue term acts:
+  //   p <- [1e-4 + 4e-9 (C - C) + 1.2e-10 * 10000]_+.
+  Rig rig(dgd_params(1e-4));
+  for (int i = 0; i < 3; ++i) {
+    rig.send_at(sim::micros(1), data_packet(0.0, 10'000));
+  }
+  rig.sim.run_until(sim::micros(16));
+  EXPECT_NEAR(rig.price(), 1e-4 + 1.2e-10 * 10'000, 1e-15);
+}
+
 TEST(ControlPlaneTest, DgdPriceIsClampedAtZero) {
   // Idle: 1e-9 + 4e-9 (0 - 10000) < 0, so the price clamps to 0 on the
   // first tick and stays there.
