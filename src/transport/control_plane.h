@@ -85,7 +85,6 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  Scheme scheme() const { return params_.scheme; }
   std::size_t link_count() const { return links_.size(); }
 
   /// Synchronized sweeps performed so far.
