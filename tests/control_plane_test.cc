@@ -12,7 +12,8 @@
 // here, never read back from another ControlPlane run.  Gains are Table 2's
 // (RCP*: the stable classic gains RcpConfig documents), set explicitly so
 // the expectations do not move with the defaults.  The grid the tick fires
-// on is PeriodicTickTest's subject.
+// on is PeriodicTickTest's subject; one case here checks that a
+// ControlPlane attached off the grid still updates on it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -101,6 +102,37 @@ struct Rig {
   double price() const { return plane->price(link->control_slot()); }
   double fair_share_bps() const {
     return plane->fair_share_bps(link->control_slot());
+  }
+};
+
+/// Hosts a and b joined through switch s, a -> s at `first_bps` and s -> b at
+/// `second_bps`; packets follow `path` over both links.
+struct TwoHopRig {
+  sim::Simulator sim;
+  net::Topology topo{sim};
+  net::Path path;
+  net::Host* dst = nullptr;
+  std::unique_ptr<ControlPlane> plane;
+
+  TwoHopRig(const ControlPlane::Params& params, double first_bps,
+            double second_bps) {
+    net::Host* src = topo.add_host("a");
+    net::Switch* hop = topo.add_switch("s");
+    dst = topo.add_host("b");
+    const auto queue = [] {
+      return std::make_unique<net::DropTailQueue>(1'000'000);
+    };
+    path.links = {
+        topo.connect(src, hop, first_bps, sim::micros(1), queue).first,
+        topo.connect(hop, dst, second_bps, sim::micros(1), queue).first};
+    plane = ControlPlane::attach(sim, params, topo);
+  }
+
+  void send_at(sim::TimeNs at, net::Packet packet) {
+    packet.path = &path;
+    sim.schedule_at(at, [this, packet] {
+      path.links[0]->send(net::Packet(packet));
+    });
   }
 };
 
@@ -197,6 +229,53 @@ TEST(ControlPlaneTest, XwiStampsPriceAndPathLenOnDataOnly) {
   EXPECT_EQ(seen[2].second, 0u);
 }
 
+TEST(ControlPlaneTest, XwiPathPriceSumsEveryHop) {
+  // A 10 Gbps hop then a 1 Gbps hop, both from price 0.01.  The DATA packet
+  // at 5 us crosses both in [0, 30) with residual 0.1 and carries 0.01 + 0.01
+  // over two hops.  Its 12 kbit give u = 0.04 on the first hop and 0.4 on
+  // the second, so the tick at 30 us sets
+  //   hop 1: p = 0.5 * 0.01 + 0.5 * (0.01 + 0.1 - 5 * 0.96 * 0.01) = 0.036,
+  //   hop 2: p = 0.5 * 0.01 + 0.5 * (0.01 + 0.1 - 5 * 0.6 * 0.01) = 0.045,
+  // and the packet at 40 us carries their sum.
+  TwoHopRig rig(xwi_params(0.01), 10e9, 1e9);
+  std::vector<std::pair<double, std::uint32_t>> seen;  // path_price, path_len
+  rig.dst->register_flow(1, [&seen](net::Packet&& p) {
+    seen.emplace_back(p.path_price, p.path_len);
+  });
+  rig.send_at(sim::micros(5), data_packet(0.1));
+  rig.send_at(sim::micros(40), data_packet(0.1));
+  rig.sim.run_until(sim::micros(60));
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_DOUBLE_EQ(seen[0].first, 0.01 + 0.01);
+  EXPECT_EQ(seen[0].second, 2u);
+  EXPECT_NEAR(seen[1].first, 0.036 + 0.045, 1e-12);
+  EXPECT_EQ(seen[1].second, 2u);
+}
+
+// The tick fires on the global grid, so links attached between two grid
+// points update together with links attached earlier (Fig. 3's synchronized
+// updates): attached at 7 us, the first update lands at 30 us, not 37 us.
+TEST(ControlPlaneTest, AttachedOffGridUpdatesOnTheSynchronizedGrid) {
+  sim::Simulator sim;
+  net::Topology topo{sim};
+  topo.connect(topo.add_host("a"), topo.add_host("b"), 10e9, sim::micros(1),
+               [] { return std::make_unique<net::DropTailQueue>(1'000'000); });
+  sim.run_until(sim::micros(7));
+  const auto plane = ControlPlane::attach(sim, xwi_params(1.0), topo);
+  const std::uint32_t slot = topo.links()[0]->control_slot();
+
+  sim.run_until(sim::micros(30) - 1);
+  EXPECT_EQ(plane->ticks(), 0u);
+  sim.run_until(sim::micros(30));
+  EXPECT_EQ(plane->ticks(), 1u);
+  EXPECT_DOUBLE_EQ(plane->price(slot), 0.5);  // one idle xWI tick from 1
+  sim.run_until(sim::micros(60) - 1);
+  EXPECT_EQ(plane->ticks(), 1u);
+  sim.run_until(sim::micros(60));
+  EXPECT_EQ(plane->ticks(), 2u);
+}
+
 // --- DGD --------------------------------------------------------------------
 
 TEST(ControlPlaneTest, DgdPriceTakesOneGradientStep) {
@@ -256,6 +335,36 @@ TEST(ControlPlaneTest, RcpIdleLinkRaisesRPastCapacityUpToTheCap) {
   EXPECT_EQ(rig.fair_share_bps(), 1e3 * capacity);
 }
 
+TEST(ControlPlaneTest, RcpBacklogCutsRByAtMostThirtyPercentDownToTheFloor) {
+  // Table 2's gains (a = 3.6, b = 1.8).  Three 10 KB packets at 1 us, then
+  // one every 8 us, on a link that serializes one in 8 us: every interval
+  // dequeues two (y = C) and every tick finds two queued (q = 160 kbit, so
+  // q/C = T and d = 2T).  The raw step is
+  //   (T/d) (a (C - C) - b q/d) / C = -1.8 * T * T / (2T)^2 = -0.45,
+  // clamped to -0.3: R falls x0.7 per tick until it reaches the 1e-4 C
+  // floor (0.7^25 > 1e-4 > 0.7^26).
+  const double capacity = 10e9;
+  ControlPlane::Params params = rcp_params(1.0);
+  params.rcp.a = 3.6;
+  params.rcp.b = 1.8;
+  Rig rig(params, capacity);
+  for (int i = 0; i < 3; ++i) {
+    rig.send_at(sim::micros(1), data_packet(0.0, 10'000));
+  }
+  for (int i = 1; i <= 80; ++i) {
+    rig.send_at(sim::micros(1 + 8 * i), data_packet(0.0, 10'000));
+  }
+  rig.sim.run_until(sim::micros(16));
+  EXPECT_DOUBLE_EQ(rig.fair_share_bps(), capacity * 0.7);
+  rig.sim.run_until(sim::micros(16 * 25));
+  double expected = capacity;
+  for (int tick = 0; tick < 25; ++tick) expected *= 0.7;
+  EXPECT_NEAR(rig.fair_share_bps(), expected, expected * 1e-12);
+  rig.sim.run_until(sim::micros(16 * 40));
+  EXPECT_EQ(rig.plane->ticks(), 40u);
+  EXPECT_EQ(rig.fair_share_bps(), 1e-4 * capacity);
+}
+
 TEST(ControlPlaneTest, RcpStepUsesQueueingDelayInD) {
   // Three 10 KB packets at 1 us, 8 us each to serialize: two are dequeued
   // before the 16 us tick (y = 160 kbit / 16 us = C) and one is queued
@@ -294,6 +403,30 @@ TEST(ControlPlaneTest, RcpStampsRToTheMinusAlphaOncePerTick) {
   ASSERT_EQ(feedback.size(), 2u);
   EXPECT_DOUBLE_EQ(feedback[0], 1.0 / (10'000.0 * 10'000.0));
   const double expected = 1.0 / (12'000.0 * 12'000.0);
+  EXPECT_NEAR(feedback[1], expected, expected * 1e-12);
+}
+
+TEST(ControlPlaneTest, RcpFeedbackSumsRToTheMinusAlphaOverThePath) {
+  // Eq. 16 composes a path's rate from sum_l R_l^-alpha; alpha = 1 here.
+  // Hops of C = 10000 and 4000 Mbps start at R = C, so the 10 KB packet at
+  // 1 us carries 1/10000 + 1/4000.  It is each hop's only traffic before the
+  // 16 us tick (y = 80 kbit / 16 us = 5000 Mbps), which takes unclamped
+  // steps of a (C - y) / C:
+  //   hop 1: 0.4 * 5000 / 10000 = +0.2, R = 12000;
+  //   hop 2: 0.4 * -1000 / 4000 = -0.1, R = 3600.
+  // The packet at 20 us waits at the switch until the second hop frees at
+  // 30 us, before the 32 us tick, and carries 1/12000 + 1/3600.
+  TwoHopRig rig(rcp_params(1.0), 10e9, 4e9);
+  std::vector<double> feedback;
+  rig.dst->register_flow(1, [&feedback](net::Packet&& p) {
+    feedback.push_back(p.path_feedback);
+  });
+  rig.send_at(sim::micros(1), data_packet(0.0, 10'000));
+  rig.send_at(sim::micros(20), data_packet(0.0));
+  rig.sim.run_until(sim::micros(40));
+  ASSERT_EQ(feedback.size(), 2u);
+  EXPECT_DOUBLE_EQ(feedback[0], 1.0 / 10'000 + 1.0 / 4'000);
+  const double expected = 1.0 / 12'000 + 1.0 / 3'600;
   EXPECT_NEAR(feedback[1], expected, expected * 1e-12);
 }
 

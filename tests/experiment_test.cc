@@ -2,9 +2,13 @@
 // real scales; here we verify the drivers' mechanics end to end).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "exp/bwfunc_experiment.h"
 #include "exp/common.h"
 #include "exp/config.h"
+#include "exp/contention_experiment.h"
 #include "exp/dynamic_workload.h"
 #include "exp/semi_dynamic.h"
 #include "exp/traffic_experiment.h"
@@ -168,6 +172,34 @@ TEST(TrafficExperimentTest, IncastFctModeCompletesBurst) {
   for (const double fct : result.fct_us) {
     EXPECT_GT(fct, 32'000 * 8.0 / 10e9 * 1e6);
     EXPECT_LT(fct, 100'000.0);
+  }
+}
+
+// The core-tier price tracker reads NUMFabric's xWI prices from the control
+// plane.  DGD keeps link prices too, but they are not tracked: its
+// convergence time is NaN and its core rows report price 0.
+TEST(OversubFabricTest, TracksCorePriceConvergenceForNumfabricOnly) {
+  OversubFabricOptions options;
+  options.topology.hosts_per_leaf = 2;
+  options.topology.num_leaves = 2;
+  options.topology.num_spines = 2;
+  options.topology = options.topology.with_oversubscription(4);
+
+  const OversubFabricResult numfabric = run_oversub_fabric(options);
+  EXPECT_TRUE(std::isfinite(numfabric.price_convergence_us));
+  EXPECT_GE(numfabric.price_convergence_us, 0.0);
+  double max_price = 0;
+  for (const CoreLinkStats& row : numfabric.core_links) {
+    max_price = std::max(max_price, row.price);
+  }
+  EXPECT_GT(max_price, 0.0);
+
+  options.scheme = transport::Scheme::kDgd;
+  const OversubFabricResult dgd = run_oversub_fabric(options);
+  EXPECT_TRUE(std::isnan(dgd.price_convergence_us));
+  ASSERT_EQ(dgd.core_links.size(), numfabric.core_links.size());
+  for (const CoreLinkStats& row : dgd.core_links) {
+    EXPECT_EQ(row.price, 0.0) << row.name;
   }
 }
 

@@ -299,5 +299,18 @@ TEST(DriverTest, SensitivityRejectsOutOfRangeBeta) {
             1);
 }
 
+// Likewise a negative eta, which would make an idle link's price grow
+// x1.5 per tick; the error names the parameter.
+TEST(DriverTest, SensitivityRejectsNegativeEta) {
+  testing::internal::CaptureStderr();
+  const int exit_code =
+      run_cli({"--scenario=sensitivity", "topology=2x2x1", "paths=12",
+               "initial_active=6", "flows_per_event=2", "min_active=4",
+               "max_active=8", "events=2", "eta=-1"});
+  const std::string error = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_NE(error.find("eta"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace numfabric::app
