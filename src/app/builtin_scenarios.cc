@@ -92,14 +92,13 @@ void apply_preset_packets(Preset preset, transport::FabricOptions& fabric) {
   fabric.pfabric.packet_bytes = bytes;
 }
 
-/// Applies the cross-cutting --control-threads / --solver-threads knobs to an
-/// experiment options struct.  Every fabric-backed struct embeds a
-/// FabricOptions; the ones that run the NUM oracle also take solver_threads.
-/// Both knobs are bit-identity-preserving, so they never appear in a
-/// scenario's declared parameter schema.
+/// Applies the preset's packet sizes and the cross-cutting --solver-threads /
+/// --shards knobs to an experiment options struct.  Every fabric-backed
+/// struct embeds a FabricOptions; the ones that run the NUM oracle also take
+/// solver_threads.  Both knobs are bit-identity-preserving, so they never
+/// appear in a scenario's declared parameter schema.
 template <typename ExpOptions>
 void apply_thread_context(const RunContext& ctx, ExpOptions& options) {
-  options.fabric.control_threads = ctx.control_threads;
   apply_preset_packets(preset_param(ctx), options.fabric);
   if constexpr (requires { options.solver_threads; }) {
     options.solver_threads = ctx.solver_threads;
@@ -115,8 +114,8 @@ void apply_thread_context(const RunContext& ctx, ExpOptions& options) {
 /// Appends per-shard engine counters to the `perf` table.  Serial runs have
 /// no shard_perf rows, so shards=1 output is byte-identical to the
 /// pre-sharding format (and the existing golden hashes).  blocked_us is
-/// worker cv-wait wall time — nondeterministic, stripped (like wall_ms)
-/// wherever sharded output is golden-compared.
+/// barrier wait wall time (sim::ShardPerf::blocked_ns) — nondeterministic,
+/// stripped (like wall_ms) wherever sharded output is golden-compared.
 void emit_shard_perf(RunContext& ctx,
                      const std::vector<sim::ShardPerf>& shard_perf) {
   if (shard_perf.empty()) return;

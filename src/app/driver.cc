@@ -42,8 +42,6 @@ void print_usage(std::FILE* out) {
       "  --jobs=<N>            parallel sweep runs (default 1; 0 = all cores)\n"
       "  --solver-threads=<N>  NUM oracle solve threads (default 1; 0 = all\n"
       "                        cores; results are bit-identical for any N)\n"
-      "  --control-threads=<N> control-plane sweep threads (default 1; 0 = all\n"
-      "                        cores; results are bit-identical for any N)\n"
       "  --shards=<N>          parallel engine shards for sharded-capable\n"
       "                        scenarios (default 1 = serial; 0 = one shard\n"
       "                        per leaf, capped at cores; output is\n"
@@ -119,7 +117,6 @@ int run_cli(const std::vector<std::string>& args) {
   bool vary_seed = false;
   int jobs = 1;
   int solver_threads = 1;
-  int control_threads = 1;
   int shards = 1;
   bool solver_stats = false;
   std::vector<std::string> sweep_tokens;
@@ -173,15 +170,6 @@ int run_cli(const std::vector<std::string>& args) {
         return 2;
       }
       solver_threads = static_cast<int>(*value);
-    } else if (arg.rfind("--control-threads=", 0) == 0) {
-      const auto value = util::parse_int(value_of("--control-threads="));
-      if (!value || *value < 0 || *value > 4096) {
-        std::fprintf(stderr,
-                     "bad --control-threads value '%s' (expected 0..4096)\n",
-                     arg.c_str());
-        return 2;
-      }
-      control_threads = static_cast<int>(*value);
     } else if (arg.rfind("--shards=", 0) == 0) {
       const auto value = util::parse_int(value_of("--shards="));
       if (!value || *value < 0 || *value > 4096) {
@@ -223,7 +211,8 @@ int run_cli(const std::vector<std::string>& args) {
                  scenario_name.c_str());
     return 2;
   }
-  // --shards threads inside --jobs workers multiply; oversubscribing a small
+  // A run at --shards=N uses N threads (its own plus N-1 workers), so
+  // --jobs x --shards is the exact thread count; oversubscribing a small
   // machine silently serializes both, so say so up front.  shards == 1 is
   // the serial engine — plain --jobs oversubscription stays silent, as ever.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -233,7 +222,7 @@ int run_cli(const std::vector<std::string>& args) {
       static_cast<unsigned>(util::WorkerPool::resolve_jobs(jobs));
   if (effective_shards > 1 && effective_jobs * effective_shards > hw) {
     std::fprintf(stderr,
-                 "warning: --jobs=%u x --shards=%u worker threads "
+                 "warning: --jobs=%u x --shards=%u threads "
                  "oversubscribe %u hardware threads; results stay "
                  "bit-identical but wall time will suffer\n",
                  effective_jobs, effective_shards, hw);
@@ -326,8 +315,7 @@ int run_cli(const std::vector<std::string>& args) {
     int exit_code = 0;
     if (sweep_tokens.empty()) {
       RunContext ctx{options, parse_scheme(transport), metrics, full,
-                     util::WorkerPool::resolve_jobs(solver_threads),
-                     util::WorkerPool::resolve_jobs(control_threads), shards};
+                     util::WorkerPool::resolve_jobs(solver_threads), shards};
       const PerfSnapshot perf_snapshot;
       const auto wall_start = std::chrono::steady_clock::now();
       scenario->run(ctx);
@@ -358,7 +346,6 @@ int run_cli(const std::vector<std::string>& args) {
       request.full_scale = full;
       request.jobs = util::WorkerPool::resolve_jobs(jobs);
       request.solver_threads = util::WorkerPool::resolve_jobs(solver_threads);
-      request.control_threads = util::WorkerPool::resolve_jobs(control_threads);
       request.shards = shards;
       request.report_solver_stats = solver_stats;
       request.vary_seed = vary_seed;

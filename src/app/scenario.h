@@ -45,9 +45,6 @@ struct RunContext {
   bool full_scale = false;
   /// --solver-threads: wave-parallel NUM oracle solves (bit-identical to 1).
   int solver_threads = 1;
-  /// --control-threads: chunked parallel control-plane sweeps (bit-identical
-  /// to 1).
-  int control_threads = 1;
   /// --shards: parallel engine shards (1 = serial; 0 = one per leaf, capped
   /// at cores; bit-identical to serial).  Only consulted by scenarios with
   /// supports_shards; the driver rejects the flag elsewhere.

@@ -77,8 +77,7 @@ SweepResult run_sweep(const SweepRequest& request, MetricWriter& merged) {
     try {
       RunContext ctx{options, request.scheme,
                      buffers[static_cast<std::size_t>(i)], request.full_scale,
-                     request.solver_threads, request.control_threads,
-                     request.shards};
+                     request.solver_threads, request.shards};
       // Counters are thread-local and this run executes entirely on this
       // worker, so the delta isolates the run's substrate activity.
       const PerfSnapshot perf_snapshot;

@@ -42,10 +42,9 @@ struct SweepRequest {
   bool full_scale = false;
   /// Worker threads (already resolved; >= 1).
   int jobs = 1;
-  /// Per-run NUM oracle / control-plane threads (RunContext::solver_threads
-  /// and ::control_threads; results are bit-identical for any value).
+  /// Per-run NUM oracle threads (RunContext::solver_threads; results are
+  /// bit-identical for any value).
   int solver_threads = 1;
-  int control_threads = 1;
   /// Per-run engine shards (RunContext::shards; passed through unresolved so
   /// 0 keeps its "one per leaf, capped at cores" meaning inside the run).
   int shards = 1;

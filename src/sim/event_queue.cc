@@ -60,15 +60,6 @@ void EventQueue::cancel(EventId id) {
   ++substrate_stats().events_cancelled;
 }
 
-std::uint64_t* EventQueue::rank_of(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].generation != generation) {
-    return nullptr;  // already fired or cancelled
-  }
-  return &heap_[slots_[slot].heap_pos].rank;
-}
-
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
   const Entry root = heap_.front();

@@ -114,7 +114,14 @@ class EventQueue {
   /// the relative order of every pair of entries (global ranks are assigned
   /// monotone in local push order), so the heap property is untouched and no
   /// re-sift is needed.
-  std::uint64_t* rank_of(EventId id);
+  std::uint64_t* rank_of(EventId id) {
+    const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
+    const auto generation = static_cast<std::uint32_t>(id >> 32);
+    if (slot >= slots_.size() || slots_[slot].generation != generation) {
+      return nullptr;  // already fired or cancelled
+    }
+    return &heap_[slots_[slot].heap_pos].rank;
+  }
 
   /// True if no runnable event remains.
   bool empty() const { return heap_.empty(); }

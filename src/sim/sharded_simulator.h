@@ -1,6 +1,7 @@
-// Conservative parallel discrete-event engine: N shard Simulators on worker
-// threads plus one global stream on the caller's thread, bit-identical to a
-// single serial Simulator.
+// Conservative parallel discrete-event engine: N shard Simulators plus one
+// global stream, bit-identical to a single serial Simulator.  The caller's
+// thread is the coordinator: it runs the global stream and shard 0, and
+// N-1 worker threads run shards 1..N-1.
 //
 // Each shard is a logical process owning a disjoint slice of the network
 // (one or more leaves with their hosts and edge links; see
@@ -18,17 +19,18 @@
 //                message a future event can still produce fires at
 //                >= base + lookahead, so every event with
 //                key < floor_of(base + lookahead) is causally closed;
-//   3. window  — workers run their shards up to that bound in parallel,
-//                then quiesce.  The event at `base` always executes, so the
-//                engine makes progress whenever lookahead > 0 (the classic
-//                Chandy–Misra–Bryant argument; with every LP adjacent to
-//                every other through the core, per-neighbor null messages
-//                collapse to this one shared horizon).
+//   3. window  — every shard runs up to that bound in parallel (shard 0 on
+//                the coordinator), then quiesces.  The event at `base`
+//                always executes, so the engine makes progress whenever
+//                lookahead > 0 (the classic Chandy–Misra–Bryant argument;
+//                with every LP adjacent to every other through the core,
+//                per-neighbor null messages collapse to this one shared
+//                horizon).
 //
 // Global-stream events (control-plane ticks on the PeriodicTick grid, flow
 // arrivals, experiment samplers) act as barriers of their own: when the
 // global queue holds the minimal key, the window bound shrinks to it, the
-// workers quiesce short of it, and the coordinator executes exactly that
+// shards quiesce short of it, and the coordinator executes exactly that
 // one event before opening the next window.
 //
 // Determinism: every event carries an OrderKey (fire, rank of the pushing
@@ -40,10 +42,20 @@
 // are ranked inline as they run.  The result is the same total order one
 // serial queue realizes, so --shards=1 and --shards=N produce
 // byte-identical output — see src/sim/README.md for the full argument.
+//
+// Handoff: a window opens when the coordinator bumps an atomic epoch and
+// closes when an atomic count of running workers reaches zero.  Each
+// waiting side spins for a short fixed budget — long enough to cover the
+// coordinator's serial barrier section — and then parks on a condition
+// variable.  Spinning happens only while the threads of every live engine
+// in the process fit in the machine's hardware threads with one to spare;
+// past that, waiters park at once.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -59,17 +71,20 @@ namespace numfabric::sim {
 
 /// Per-shard progress counters for the perf table.  events / merged_msgs /
 /// null_steps are deterministic; blocked_ns is wall time and is not.
+/// A worker's blocked time is its wait for the next window; shard 0's is
+/// the coordinator's wait, after its own window, for the workers to finish.
 struct ShardPerf {
   std::uint64_t events = 0;       // events executed on this shard
   std::uint64_t merged_msgs = 0;  // cross-shard messages merged into it
   std::uint64_t null_steps = 0;   // windows that executed zero local events
-  std::uint64_t blocked_ns = 0;   // worker wall time blocked at barriers
+  std::uint64_t blocked_ns = 0;   // wall time spent waiting at barriers
 };
 
 class ShardedSimulator {
  public:
   /// `shards` <= 1 is the passthrough mode: one serial Simulator, no
   /// threads, behavior identical to using that Simulator directly.
+  /// Otherwise starts shards - 1 worker threads.
   explicit ShardedSimulator(int shards);
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -113,9 +128,14 @@ class ShardedSimulator {
   void cancel(EventId id) { global_.cancel(id); }
 
   /// Runs until every queue and channel drains, or stop() is called.
+  /// If shard events throw, every shard finishes its window first, then
+  /// the exception of the throwing event with the smallest key propagates
+  /// (the one a serial run would have thrown); the engine can still be
+  /// destroyed, but not resumed.
   void run();
 
   /// Runs events with time <= `until`, then sets every clock to `until`.
+  /// Exceptions propagate as in run().
   void run_until(TimeNs until);
 
   /// Makes run/run_until return at the next barrier.  Callable from global
@@ -135,20 +155,56 @@ class ShardedSimulator {
   static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
 
   void drive(TimeNs until, bool drain);
-  /// Runs one parallel window: all workers execute events with
-  /// key < `bound`, then advance their clocks to at least `clock_to`.
+  /// Runs one parallel window: every shard executes events with
+  /// key < `bound`, then advances its clock to at least `clock_to`.  The
+  /// coordinator runs shard 0 while the workers run the rest.
   void superstep(const OrderKey& bound, TimeNs clock_to);
+  /// Shard k's part of the current window.  An exception thrown by one of
+  /// its events is stored in workers_[k].error, not propagated.
+  void run_window(int k);
   /// Merges the per-shard logs of the window just executed in serial key
   /// order, assigns global execution ranks, and finalizes every surviving
   /// provisional push.  Coordinator thread, workers quiesced.
   void finalize_window();
+  /// Rethrows the stored exception whose event ranked first, if any.
+  void rethrow_shard_error();
   void worker_main(int k);
   void fold_worker_stats();
 
+  // Window handoff: the waits spin, then park on cv_work_ / cv_done_.
+  std::uint64_t await_epoch(std::uint64_t seen);
+  void await_workers();
+  void open_window();
+
+  /// One per shard.  Shard 0 runs on the coordinator, so its substrate
+  /// counters land in the caller's TLS directly and its published/folded
+  /// stay zero.
   struct WorkerState {
-    SubstrateStats published;  // worker TLS totals, copied under mu_
+    SubstrateStats published;  // worker TLS totals at its last window's end
     SubstrateStats folded;     // portion already folded into the caller TLS
     std::uint64_t blocked_ns = 0;
+    std::exception_ptr error;      // what this shard's window threw
+    std::uint64_t error_rank = 0;  // global rank of the throwing event
+  };
+
+  /// One shard's window log during the merge, parallel to its rank array.
+  struct MergeCursor {
+    const OrderKey* begin;
+    const OrderKey* head;
+    const OrderKey* end;
+    std::uint64_t* ranks;            // ranks[i] belongs to begin[i]
+    std::uint64_t provisional_base;  // rank field begin[0]'s pushes carry
+
+    /// The head's key with a provisional rank resolved (its pusher is an
+    /// earlier entry of the same log, already ranked).
+    OrderKey head_key() const {
+      OrderKey key = *head;
+      if (key.rank >= kProvisionalRankBase) {
+        key.rank = ranks[key.rank - provisional_base];
+      }
+      return key;
+    }
+    void take(std::uint64_t rank) { ranks[head++ - begin] = rank; }
   };
 
   const int num_shards_;
@@ -168,17 +224,22 @@ class ShardedSimulator {
   std::vector<std::uint64_t> window_before_;  // scratch: events before window
   // finalize_window scratch, reused across barriers.
   std::vector<std::vector<std::uint64_t>> ranks_scratch_;
-  std::vector<std::size_t> merge_pos_;
-  std::vector<OrderKey> merge_head_;
+  std::vector<MergeCursor> cursors_;
 
-  // Worker synchronization.  All shared control state lives under mu_; the
-  // cv_work_/cv_done_ edges give the happens-before that publishes shard
-  // simulator state between workers and the coordinator.
+  // Worker synchronization.  bound_, clock_to_ and quit_ are written by the
+  // coordinator before it bumps epoch_ and read by workers after they see
+  // the bump; each worker's shard state and WorkerState are published by
+  // its decrement of running_ and read by the coordinator once running_ is
+  // zero.  mu_ guards only parking: a waiter registers in parked_workers_
+  // or coordinator_parked_ under mu_ before it re-checks its condition, so
+  // the waking side notifies under mu_ only when someone is parked.
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> running_{0};
+  std::atomic<int> parked_workers_{0};
+  std::atomic<bool> coordinator_parked_{false};
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
-  int done_ = 0;
   OrderKey bound_{};
   TimeNs clock_to_ = 0;
   bool quit_ = false;

@@ -128,47 +128,27 @@ void ControlPlane::attach_links(net::Topology& topo) {
     links_[i]->attach_control(mode, &arrays_, static_cast<std::uint32_t>(i));
   }
 
-  if (params_.threads > 1 && n > 1) {
-    pool_ = std::make_unique<util::WorkerPool>(params_.threads);
-  }
-
   tick_.arm(sim_, interval_for(params_), [this] { sweep(); });
 }
 
 void ControlPlane::sweep() {
-  const std::size_t n = links_.size();
-  if (pool_ == nullptr) {
-    sweep_range(0, n);
-  } else {
-    // Each slot's update reads and writes only that slot's state, so a
-    // chunked parallel sweep is bit-identical to the serial slot-order one.
-    const auto chunks =
-        std::min(static_cast<std::size_t>(pool_->jobs()), n);
-    pool_->parallel_for(static_cast<int>(chunks), [&](int chunk) {
-      const auto c = static_cast<std::size_t>(chunk);
-      sweep_range(n * c / chunks, n * (c + 1) / chunks);
-    });
-  }
-  auto& stats = sim::substrate_stats();
-  ++stats.control_ticks;
-  stats.links_swept += n;
-}
-
-void ControlPlane::sweep_range(std::size_t begin, std::size_t end) {
   switch (params_.scheme) {
     case Scheme::kNumFabric:
-      sweep_xwi(begin, end);
+      sweep_xwi();
       break;
     case Scheme::kDgd:
-      sweep_dgd(begin, end);
+      sweep_dgd();
       break;
     case Scheme::kRcpStar:
-      sweep_rcp(begin, end);
+      sweep_rcp();
       break;
     case Scheme::kDctcp:
     case Scheme::kPFabric:
       break;
   }
+  auto& stats = sim::substrate_stats();
+  ++stats.control_ticks;
+  stats.links_swept += links_.size();
 }
 
 // Fig. 3's per-interval price update (Eqs. 10, 11; see control_plane.h).  A
@@ -178,10 +158,10 @@ void ControlPlane::sweep_range(std::size_t begin, std::size_t end) {
 // residuals and park the price below the optimum.  A quiet interval
 // contributes min_res = 0, so only the under-utilization term acts, and the
 // new price is beta-averaged with the old.
-void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_xwi() {
   const double eta = params_.numfabric.eta;
   const double beta = params_.numfabric.beta;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double utilization =
         link->queue().empty()
@@ -208,10 +188,10 @@ void ControlPlane::sweep_xwi(std::size_t begin, std::size_t end) {
 // with y the link's throughput over the last interval and C its capacity
 // (both in Mbps, matching Table 2's units for a), and q the instantaneous
 // queue backlog in bytes.
-void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_dgd() {
   const double a = params_.dgd.a;
   const double b = params_.dgd.b;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double y_mbps = num::to_rate_units(
         static_cast<double>(bytes_serviced_[i]) * 8.0 / interval_seconds_);
@@ -236,10 +216,10 @@ void ControlPlane::sweep_dgd(std::size_t begin, std::size_t end) {
 // configured avg_rtt (the fabric's base RTT) plus this link's queueing
 // delay.  R only changes here, so the per-packet stamp R^-alpha costs one
 // std::pow per link per tick.
-void ControlPlane::sweep_rcp(std::size_t begin, std::size_t end) {
+void ControlPlane::sweep_rcp() {
   const double t = interval_seconds_;
   const double alpha = params_.rcp.alpha;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
     const net::Link* link = links_[i];
     const double capacity = link->rate_bps();
     const double y = static_cast<double>(bytes_serviced_[i]) * 8.0 / t;

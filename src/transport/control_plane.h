@@ -54,7 +54,6 @@
 #include "transport/flow.h"
 #include "transport/numfabric/config.h"
 #include "transport/rcp/rcp_sender.h"
-#include "util/worker_pool.h"
 
 namespace numfabric::transport {
 
@@ -65,10 +64,6 @@ class ControlPlane {
     NumFabricConfig numfabric;
     DgdConfig dgd;
     RcpConfig rcp;
-    /// >1 splits each sweep into contiguous slot chunks on a worker pool.
-    /// Per-link updates touch only their own slot's state, so any thread
-    /// count produces the same bits as the serial slot-order sweep.
-    int threads = 1;
   };
 
   /// Builds the control plane for the scheme and takes over every link of
@@ -105,10 +100,9 @@ class ControlPlane {
 
   void attach_links(net::Topology& topo);
   void sweep();
-  void sweep_range(std::size_t begin, std::size_t end);
-  void sweep_xwi(std::size_t begin, std::size_t end);
-  void sweep_dgd(std::size_t begin, std::size_t end);
-  void sweep_rcp(std::size_t begin, std::size_t end);
+  void sweep_xwi();
+  void sweep_dgd();
+  void sweep_rcp();
 
   sim::Simulator& sim_;
   Params params_;
@@ -127,7 +121,6 @@ class ControlPlane {
 
   net::LinkControlArrays arrays_;
   sim::PeriodicTick tick_;
-  std::unique_ptr<util::WorkerPool> pool_;  // non-null iff params_.threads > 1
 };
 
 }  // namespace numfabric::transport

@@ -56,7 +56,7 @@ void Fabric::attach_agents(net::Topology& topo) {
   control_plane_ = ControlPlane::attach(
       sim_,
       ControlPlane::Params{options_.scheme, options_.numfabric, options_.dgd,
-                           options_.rcp, options_.control_threads},
+                           options_.rcp},
       topo);
 }
 

@@ -52,9 +52,6 @@ struct FabricOptions {
   /// NUMFabric only: > 0 replaces exact STFQ with the §8 multi-queue
   /// approximation using this many weight bands (ablation).
   int discrete_wfq_bands = 0;
-  /// >1 runs the batched control plane's per-link sweep on this many worker
-  /// threads (chunked by slot; bit-identical for any value).
-  int control_threads = 1;
 };
 
 class Fabric {

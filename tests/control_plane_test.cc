@@ -465,62 +465,5 @@ TEST(ControlPlaneTest, RejectsOutOfRangeXwiGains) {
   }
 }
 
-// --- sweep execution --------------------------------------------------------
-
-// Params::threads: the chunked parallel sweep must be bit-identical to the
-// serial slot-order sweep — per-slot updates touch only their own slot's
-// state, so chunking changes wall time, never prices.  Two identical
-// multi-link worlds, one swept serially and one on 4 threads, driven with
-// the same packet sequences.
-TEST(ControlPlaneTest, ThreadedSweepMatchesSerialBitwise) {
-  struct World {
-    sim::Simulator sim;
-    net::Topology topo{sim};
-    std::vector<net::Link*> links;
-    std::unique_ptr<ControlPlane> plane;
-
-    explicit World(int threads) {
-      net::Host* a = topo.add_host("a");
-      net::Host* b = topo.add_host("b");
-      net::Host* c = topo.add_host("c");
-      net::Host* d = topo.add_host("d");
-      for (auto [src, dst] : {std::pair{a, b}, {b, c}, {c, d}}) {
-        topo.connect(src, dst, 10e9, sim::micros(1), [] {
-          return std::make_unique<net::DropTailQueue>(1'000'000);
-        });
-      }
-      for (const auto& link : topo.links()) links.push_back(link.get());
-      ControlPlane::Params params;
-      params.scheme = Scheme::kNumFabric;
-      params.threads = threads;
-      plane = ControlPlane::attach(sim, params, topo);
-    }
-  };
-  World serial(1), threaded(4);
-
-  const double residuals[] = {0.5, -0.3, 0.1, 0.02, 0.4};
-  for (int i = 0; i < 5; ++i) {
-    const sim::TimeNs at = sim::micros(3 + 7 * i);
-    const std::size_t link = static_cast<std::size_t>(i) % 3;
-    const double r = residuals[i];
-    serial.sim.schedule_at(at, [&serial, link, r] {
-      serial.links[link]->send(data_packet(r));
-    });
-    threaded.sim.schedule_at(at, [&threaded, link, r] {
-      threaded.links[link]->send(data_packet(r));
-    });
-  }
-
-  for (int update = 1; update <= 5; ++update) {
-    serial.sim.run_until(sim::micros(30 * update));
-    threaded.sim.run_until(sim::micros(30 * update));
-    for (std::size_t l = 0; l < 3; ++l) {
-      EXPECT_EQ(serial.plane->price(l), threaded.plane->price(l))
-          << "link " << l << " price diverged at update " << update;
-    }
-  }
-  EXPECT_EQ(serial.plane->ticks(), threaded.plane->ticks());
-}
-
 }  // namespace
 }  // namespace numfabric::transport

@@ -89,10 +89,9 @@ TEST(GoldenDeterminismTest, Fig4aConvergenceMatchesGoldenHash) {
       << csv.substr(0, 2000);
 }
 
-// The same run with --solver-threads=4 / --control-threads=4: the parallel
-// NUM oracle (wave schedule) and the chunked control-plane sweep must hash
-// to the SAME golden as the serial reference — thread count changes wall
-// time, never bytes.
+// The same run with --solver-threads=4: the parallel NUM oracle (wave
+// schedule) must hash to the SAME golden as the serial reference — thread
+// count changes wall time, never bytes.
 TEST(GoldenDeterminismTest, Fig4aWithFourSolverThreadsMatchesSameGolden) {
   register_builtin_scenarios();
   const Scenario* scenario = ScenarioRegistry::global().find("convergence");
@@ -100,14 +99,14 @@ TEST(GoldenDeterminismTest, Fig4aWithFourSolverThreadsMatchesSameGolden) {
   Options options;
   MetricWriter metrics;
   RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false,
-                 /*solver_threads=*/4, /*control_threads=*/4};
+                 /*solver_threads=*/4};
   const PerfSnapshot snapshot;
   scenario->run(ctx);
   record_perf(metrics, snapshot.delta());
   const std::string csv = normalize(metrics);
   EXPECT_EQ(fnv1a_hex(csv), kConvergenceGolden)
       << "solver_threads=4 output differs from the serial golden — the "
-         "parallel solver or control plane is not bit-identical.\n"
+         "parallel solver is not bit-identical.\n"
       << "--- normalized CSV (first 2000 chars) ---\n"
       << csv.substr(0, 2000);
 }

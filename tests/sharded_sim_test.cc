@@ -2,22 +2,27 @@
 // byte-identical to the serial one.
 //
 // Unit half: shard-count resolution, leaf-major plan assignment, the
-// passthrough facade, the missing-lookahead guard and run_until clock
-// alignment.
+// passthrough facade, the missing-lookahead guard, run_until clock
+// alignment, exceptions thrown by shard events, and the window handoff over
+// many short legs.
 //
-// Golden half: runs fig4a (`convergence`), one incast sweep and one
-// oversub-fabric sweep serial (--shards=1) and sharded (--shards=2/4) and
-// asserts the outputs are byte-identical after stripping the rows that
-// legitimately differ: per-shard perf counters (shard*_ rows exist only when
-// sharded), substrate allocation counters (each shard grows its own event
-// queue and packet pool) and wall-clock cells.  Every behavioral byte —
+// Golden half: runs fig4a (`convergence`), one incast sweep, one
+// oversub-fabric sweep and a small 8-leaf permutation serial (--shards=1)
+// and sharded (--shards=2/4/8) and asserts the outputs are byte-identical
+// after stripping the rows that legitimately differ: per-shard perf
+// counters (shard*_ rows exist only when sharded), substrate allocation
+// counters (each shard grows its own event queue and packet pool) and
+// wall-clock cells.  Every behavioral byte —
 // events fired, packets, bytes, FCTs, rates, queue depths — must match.
 // The serial hashes themselves are guarded by golden_determinism_test.cc.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/metrics.h"
@@ -137,6 +142,99 @@ TEST(ShardedSimulatorTest, RunUntilAlignsEveryClock) {
   EXPECT_EQ(engine.now(), sim::micros(50));
 }
 
+TEST(ShardedSimulatorTest, ShardEventExceptionReachesCaller) {
+  // An exception thrown by a shard event reaches run()'s caller, as it
+  // would from a serial Simulator, whether the event ran on the coordinator
+  // (shard 0) or on a worker (shard 1).  Later events never run, and the
+  // engine still shuts down cleanly.
+  for (const int thrower : {0, 1}) {
+    int later = 0;
+    {
+      sim::ShardedSimulator engine(2);
+      engine.set_lookahead(sim::micros(2));
+      engine.shard(thrower).schedule_at(
+          sim::micros(5), [] { throw std::runtime_error("boom"); });
+      engine.shard(1 - thrower).schedule_at(sim::micros(50),
+                                            [&later] { ++later; });
+      EXPECT_THROW(engine.run(), std::runtime_error) << "thrower " << thrower;
+    }
+    EXPECT_EQ(later, 0) << "thrower " << thrower;
+  }
+
+  // Both shards throw inside one window: the caller sees the exception a
+  // serial run would have thrown first.  `direct` events are pushed during
+  // setup, shard 1 first, so at equal times shard 1's comes first.
+  // Otherwise each throwing event is pushed by an event of its own shard
+  // (shard 0's pusher runs first), so the tie resolves through ranks
+  // assigned in the window.
+  const auto first_error = [](sim::TimeNs at0, sim::TimeNs at1,
+                              bool direct) -> std::string {
+    sim::ShardedSimulator engine(2);
+    engine.set_lookahead(sim::micros(100));
+    const auto arm = [&engine, direct](int k, sim::TimeNs at) {
+      const auto boom = [k] {
+        throw std::runtime_error("shard " + std::to_string(k));
+      };
+      sim::Simulator& shard = engine.shard(k);
+      if (direct) {
+        shard.schedule_at(at, boom);
+      } else {
+        shard.schedule_at(sim::micros(1 + k),
+                          [&shard, at, boom] { shard.schedule_at(at, boom); });
+      }
+    };
+    arm(1, at1);
+    arm(0, at0);
+    try {
+      engine.run();
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(first_error(sim::micros(6), sim::micros(5), true), "shard 1");
+  EXPECT_EQ(first_error(sim::micros(5), sim::micros(6), true), "shard 0");
+  EXPECT_EQ(first_error(sim::micros(5), sim::micros(5), true), "shard 1");
+  EXPECT_EQ(first_error(sim::micros(5), sim::micros(5), false), "shard 0");
+}
+
+TEST(ShardedSimulatorTest, ManyShortLegsAlignClocksAndShutDownParked) {
+  // Hundreds of one-lookahead run_until legs, each a handful of window
+  // handoffs, with a ticker on every shard firing twice per lookahead.
+  // Every leg must leave every clock on its end.  Afterwards the workers
+  // outwait the spin budget and park; destruction must still wake them.
+  constexpr int kShards = 3;
+  constexpr int kLegs = 200;
+  const sim::TimeNs lookahead = sim::micros(1);
+  std::vector<int> fired(kShards, 0);
+  {
+    sim::ShardedSimulator engine(kShards);
+    engine.set_lookahead(lookahead);
+    std::function<void(int)> tick = [&](int k) {
+      ++fired[static_cast<std::size_t>(k)];
+      engine.shard(k).schedule_in(lookahead / 2, [&tick, k] { tick(k); });
+    };
+    for (int k = 0; k < kShards; ++k) {
+      engine.shard(k).schedule_at(0, [&tick, k] { tick(k); });
+    }
+    for (int leg = 1; leg <= kLegs; ++leg) {
+      const sim::TimeNs end = leg * lookahead;
+      engine.run_until(end);
+      ASSERT_EQ(engine.now(), end) << "leg " << leg;
+      for (int k = 0; k < kShards; ++k) {
+        ASSERT_EQ(engine.shard(k).now(), end)
+            << "leg " << leg << " shard " << k;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (int k = 0; k < kShards; ++k) {
+    // Ticks at 0, 0.5, ..., kLegs lookaheads inclusive.
+    EXPECT_EQ(fired[static_cast<std::size_t>(k)], 2 * kLegs + 1)
+        << "shard " << k;
+  }
+}
+
 // --- golden half -----------------------------------------------------------
 
 // Strips the bytes that legitimately differ between serial and sharded runs:
@@ -216,7 +314,6 @@ std::string run_convergence(int shards) {
                  metrics,
                  false,
                  /*solver_threads=*/1,
-                 /*control_threads=*/1,
                  shards};
   scenario->run(ctx);
   return normalize(metrics);
@@ -287,6 +384,31 @@ TEST(ShardedGoldenTest, OversubSweepIsShardCountInvariant) {
   EXPECT_EQ(serial, sharded)
       << "oversub-fabric sweep output differs between --shards=1 and "
          "--shards=2";
+}
+
+std::string run_wide_permutation(int shards) {
+  app::register_builtin_scenarios();
+  const app::Scenario* scenario =
+      ScenarioRegistry::global().find("permutation");
+  EXPECT_NE(scenario, nullptr);
+  Options options;
+  options.set("topology", "2x8x2");
+  options.set("warmup_ms", "1");
+  options.set("measure_ms", "1");
+  MetricWriter metrics;
+  RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false,
+                 /*solver_threads=*/1, shards};
+  scenario->run(ctx);
+  return normalize(metrics);
+}
+
+TEST(ShardedGoldenTest, PermutationWithMoreShardsThanCoresMatchesSerial) {
+  // Eight shards are eight engine threads: more than a 4-core host or a CI
+  // runner has, so every window handoff parks at once instead of spinning.
+  const std::string serial = run_wide_permutation(1);
+  const std::string sharded = run_wide_permutation(8);
+  EXPECT_EQ(serial, sharded)
+      << "permutation output differs between --shards=1 and --shards=8";
 }
 
 }  // namespace
