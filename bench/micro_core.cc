@@ -476,8 +476,8 @@ BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
 // experiment (4-leaf/16-host fabric, 3 ms simulated) per iteration at
 // --shards = 1 / 2 / 4.  Items = simulator events, so items_per_second is
 // whole-engine event throughput including setup, barriers and the rank
-// merge.  Wall time on a 4-vCPU KVM guest: ~16 ms at Arg(1), 14-29 ms at
-// Arg(2) (depending on which vCPUs the two threads land on) and 28-34 ms at
+// merge.  Wall time on a 4-vCPU KVM guest: ~16 ms at Arg(1), 11-29 ms at
+// Arg(2) (depending on which vCPUs the two threads land on) and 25-34 ms at
 // Arg(4), where four threads on four cores park between windows.  Measured
 // as whole-process cpu time + wall throughput: the default main-thread-only
 // cpu clock would miss the worker threads entirely.  At Arg(2) the worker

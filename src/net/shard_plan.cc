@@ -1,6 +1,7 @@
 #include "net/shard_plan.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -142,7 +143,8 @@ ShardRouter::ShardRouter(sim::ShardedSimulator& engine)
     channels_.push_back(std::make_unique<Channel>());
   }
   slabs_.resize(static_cast<std::size_t>(shards_));
-  engine_.add_barrier_hook([this] { merge(); });
+  engine_.add_barrier_hook([this] { return stage(); });
+  engine_.add_window_hook([this](int dst) { drain(dst); });
 }
 
 void ShardRouter::post(int src_shard, int dst_shard, sim::TimeNs fire,
@@ -155,38 +157,47 @@ void ShardRouter::post(int src_shard, int dst_shard, sim::TimeNs fire,
   ch.fifo.push_back(Message{fire, key, src_shard, dst, std::move(packet)});
 }
 
-void ShardRouter::merge() {
-  for (int dst = 0; dst < shards_; ++dst) {
-    sim::Simulator& dsim = engine_.shard(dst);
-    Slab& slab = slabs_[static_cast<std::size_t>(dst)];
-    for (int src = 0; src < shards_; ++src) {
-      if (src == dst) continue;
-      Channel& ch = channel(src, dst);
-      std::lock_guard<std::mutex> lock(ch.mu);
-      for (Message& m : ch.fifo) {
-        std::uint32_t slot;
-        if (!slab.free.empty()) {
-          slot = slab.free.back();
-          slab.free.pop_back();
-        } else {
-          if (slab.packets.size() == slab.packets.capacity()) {
-            ++sim::substrate_stats().allocs_packet_pool;
-          }
-          slot = static_cast<std::uint32_t>(slab.packets.size());
-          slab.packets.emplace_back();
+sim::TimeNs ShardRouter::stage() {
+  sim::TimeNs earliest = sim::ShardedSimulator::kNever;
+  for (const auto& ch : channels_) {
+    std::lock_guard<std::mutex> lock(ch->mu);
+    assert(ch->staged.empty());  // every window drains what it was given
+    ch->staged.swap(ch->fifo);
+    for (const Message& m : ch->staged) earliest = std::min(earliest, m.fire);
+  }
+  return earliest;
+}
+
+void ShardRouter::drain(int dst) {
+  sim::Simulator& dsim = engine_.shard(dst);
+  Slab& slab = slabs_[static_cast<std::size_t>(dst)];
+  for (int src = 0; src < shards_; ++src) {
+    if (src == dst) continue;
+    Channel& ch = channel(src, dst);
+    for (Message& m : ch.staged) {
+      std::uint32_t slot;
+      if (!slab.free.empty()) {
+        slot = slab.free.back();
+        slab.free.pop_back();
+      } else {
+        if (slab.packets.size() == slab.packets.capacity()) {
+          ++sim::substrate_stats().allocs_packet_pool;
         }
-        slab.packets[slot] = std::move(m.packet);
-        // A message posted inside the last window carries a provisional
-        // rank; the source shard finalized it at the barrier just taken.
-        const std::uint64_t rank =
-            engine_.shard(m.src_shard).resolve_rank(m.key.rank);
-        dsim.schedule_keyed(m.fire, rank, m.key.seq,
-                            [this, dst, slot, node = m.dst] {
-                              deliver(dst, slot, node);
-                            });
+        slot = static_cast<std::uint32_t>(slab.packets.size());
+        slab.packets.emplace_back();
       }
-      ch.fifo.clear();
+      slab.packets[slot] = std::move(m.packet);
+      // A message posted inside the last window carries a provisional
+      // rank; the source shard's ranks for that window were installed at
+      // the barrier just taken.
+      const std::uint64_t rank =
+          engine_.shard(m.src_shard).resolve_rank(m.key.rank);
+      dsim.schedule_keyed(m.fire, rank, m.key.seq,
+                          [this, dst, slot, node = m.dst] {
+                            deliver(dst, slot, node);
+                          });
     }
+    ch.staged.clear();
   }
 }
 

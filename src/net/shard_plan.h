@@ -12,14 +12,17 @@
 // ShardRouter carries those deliveries: the source link posts a timestamped
 // message into a per-(src,dst) channel carrying the (rank, seq) key the
 // serial push would have had (a provisional rank if the posting event ran
-// inside a window; the engine finalizes it before the message is drained).
-// The engine's barrier merge drains every channel in a fixed (dst-major,
-// src-minor, FIFO) order into the destination shard's queue via
-// Simulator::schedule_keyed — insertion order is immaterial for correctness
-// since keys are total, but a fixed order keeps the walk deterministic.
-// Channels are mutex-guarded but phase-separated: sources post during
-// windows, the coordinator drains at barriers, so the locks are uncontended
-// and exist for the memory ordering.
+// inside a window; the engine finalizes it at the barrier that follows).
+// At each barrier the coordinator moves every channel's posts into the
+// channel's staged buffer and reports their earliest fire time to the
+// engine.  As its next window opens, each destination shard drains its
+// staged buffers on its own thread, in a fixed (src, FIFO) order, into its
+// queue via Simulator::schedule_keyed — insertion order is immaterial for
+// correctness since keys are total, but a fixed order keeps the walk
+// deterministic.  Channels are mutex-guarded but phase-separated: sources
+// post during windows and the coordinator stages at barriers, so the locks
+// are uncontended and exist for the memory ordering; a staged buffer
+// belongs to its destination shard's thread during a window.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +101,8 @@ class ShardRouter {
   };
   struct Channel {
     std::mutex mu;
-    std::vector<Message> fifo;
+    std::vector<Message> fifo;    // posted this window
+    std::vector<Message> staged;  // posted last window, not yet drained
   };
   /// Parked packets per destination shard; the merged delivery event
   /// captures only (router, shard, slot, node) and stays inline in the
@@ -108,9 +112,12 @@ class ShardRouter {
     std::vector<std::uint32_t> free;
   };
 
-  /// Barrier hook: drains every channel into the destination queues in a
-  /// fixed deterministic order.  Runs on the coordinator, workers quiesced.
-  void merge();
+  /// Barrier hook: moves every channel's posts into its staged buffer and
+  /// returns their earliest fire time.  Coordinator, workers quiesced.
+  sim::TimeNs stage();
+  /// Window hook: pushes every message staged for `dst` into its queue.
+  /// Runs on the thread that runs shard `dst`.
+  void drain(int dst);
   void deliver(int dst_shard, std::uint32_t slot, Node* dst);
   Channel& channel(int src, int dst) {
     return *channels_[static_cast<std::size_t>(src * shards_ + dst)];

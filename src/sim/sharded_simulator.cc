@@ -15,11 +15,14 @@ std::uint64_t steady_ns() {
 }
 
 /// How long a waiting thread spins before it parks.  The budget covers the
-/// coordinator's serial barrier section (hooks, rank merge, one global
-/// event), a few tens of microseconds per window on the packet workloads,
-/// so a worker normally picks up the next window without a futex round
-/// trip; a longer wait (setup, code between runs) parks.
-constexpr std::uint64_t kSpinNs = 50'000;
+/// coordinator's serial barrier section at 2 shards (hooks, rank merge, one
+/// global event: ~11 us per window on the 16x8x4 permutation), so a worker
+/// normally picks up the next window without a futex round trip; a longer
+/// wait (setup, code between runs) parks.  Longer budgets spun through more
+/// host preemption on a 4-vCPU KVM guest: bench/e2e packet-permutation
+/// medians over 8 interleaved rounds were 0.94 s at 50 us, 0.89 s at 20 us
+/// and 0.84 s parking at once, against 1.10 s for the previous handoff.
+constexpr std::uint64_t kSpinNs = 20'000;
 
 /// Threads of every live sharded engine in the process: N per N-shard
 /// engine, its N-1 workers plus the coordinator.
@@ -99,8 +102,12 @@ ShardedSimulator::~ShardedSimulator() {
   g_engine_threads.fetch_sub(num_shards_, std::memory_order_relaxed);
 }
 
-void ShardedSimulator::add_barrier_hook(std::function<void()> hook) {
+void ShardedSimulator::add_barrier_hook(std::function<TimeNs()> hook) {
   barrier_hooks_.push_back(std::move(hook));
+}
+
+void ShardedSimulator::add_window_hook(std::function<void(int)> hook) {
+  window_hooks_.push_back(std::move(hook));
 }
 
 void ShardedSimulator::stop() {
@@ -147,21 +154,22 @@ void ShardedSimulator::drive(TimeNs until, bool drain) {
   global_.clear_stopped();
 
   for (;;) {
-    // Barrier: workers quiesced; merge every cross-shard channel so the
+    // Barrier: workers quiesced; stage every cross-shard message so the
     // horizon computed below is causally complete.
-    for (const auto& hook : barrier_hooks_) hook();
+    TimeNs base = kNever;
+    for (const auto& hook : barrier_hooks_) base = std::min(base, hook());
     if (stop_requested_ || global_.stopped()) break;
 
     OrderKey gkey{};
     const bool has_global = global_.peek_next_key(gkey);
-    TimeNs base = has_global ? gkey.at : kNever;
+    if (has_global) base = std::min(base, gkey.at);
     for (const auto& shard : shards_) {
       if (shard->pending()) base = std::min(base, shard->next_time());
     }
     if (base == kNever) break;               // everything drained
     if (!drain && base > until) break;       // nothing left at or before until
 
-    // Conservative window (channels are empty): any message a still-pending
+    // Conservative window (channels are staged): any message a still-pending
     // event can produce fires at >= base + lookahead, so every key below
     // that floor is safe.  The event at `base` is always inside the window:
     // progress is guaranteed for lookahead > 0.
@@ -186,7 +194,16 @@ void ShardedSimulator::drive(TimeNs until, bool drain) {
     finalize_window();
     rethrow_shard_error();
 
-    if (exec_global) global_.run_one();
+    if (exec_global) {
+      // The event may push into shard queues.
+      for (auto& shard : shards_) shard->apply_ranks();
+      global_.run_one();
+    }
+  }
+  // Leave every queue final: ranks applied, staged messages pushed.
+  for (int k = 0; k < num_shards_; ++k) {
+    shards_[static_cast<std::size_t>(k)]->apply_ranks();
+    for (const auto& hook : window_hooks_) hook(k);
   }
 
   // Align clocks the way one serial simulator would have left them.  After
@@ -230,6 +247,8 @@ void ShardedSimulator::superstep(const OrderKey& bound, TimeNs clock_to) {
 void ShardedSimulator::run_window(int k) {
   Simulator& sim = *shards_[static_cast<std::size_t>(k)];
   try {
+    sim.apply_ranks();
+    for (const auto& hook : window_hooks_) hook(k);
     sim.run_to_key(bound_);
     sim.advance_to(clock_to_);
   } catch (...) {
@@ -317,8 +336,12 @@ void ShardedSimulator::finalize_window() {
   rank_counter_ = rank;
 
   for (std::size_t k = 0; k < n; ++k) {
-    // A throwing event is the last one its shard logged.
-    if (workers_[k].error) workers_[k].error_rank = ranks_scratch_[k].back();
+    // A throwing event is the last one its shard logged; a throwing window
+    // hook ran before any of them.
+    if (workers_[k].error) {
+      workers_[k].error_rank =
+          ranks_scratch_[k].empty() ? 0 : ranks_scratch_[k].back();
+    }
     // finalize_window swaps buffers, handing the old rank vector back into
     // the scratch slot so no allocation recurs at steady state.
     shards_[k]->finalize_window(std::move(ranks_scratch_[k]));
@@ -335,6 +358,7 @@ void ShardedSimulator::rethrow_shard_error() {
   if (first == nullptr) return;
   const std::exception_ptr error = first->error;
   for (WorkerState& w : workers_) w.error = nullptr;
+  for (auto& shard : shards_) shard->apply_ranks();
   fold_worker_stats();
   std::rethrow_exception(error);
 }

@@ -11,21 +11,22 @@
 // delay lower-bounds the gap).  The engine runs barrier-synchronized
 // windows:
 //
-//   1. merge   — barrier hooks drain every cross-shard channel into the
-//                destination shards' queues (coordinator thread, in a fixed
-//                deterministic order);
-//   2. bound   — with all channels empty, let `base` be the earliest
-//                pending fire time anywhere (shards or global stream).  Any
-//                message a future event can still produce fires at
+//   1. stage   — barrier hooks take every cross-shard message posted in
+//                the last window out of its channel (coordinator thread)
+//                and report the earliest fire time among them;
+//   2. bound   — let `base` be the earliest pending fire time anywhere
+//                (staged messages, shards or global stream).  Any message
+//                a future event can still produce fires at
 //                >= base + lookahead, so every event with
 //                key < floor_of(base + lookahead) is causally closed;
-//   3. window  — every shard runs up to that bound in parallel (shard 0 on
-//                the coordinator), then quiesces.  The event at `base`
-//                always executes, so the engine makes progress whenever
-//                lookahead > 0 (the classic Chandy–Misra–Bryant argument;
-//                with every LP adjacent to every other through the core,
-//                per-neighbor null messages collapse to this one shared
-//                horizon).
+//   3. window  — every shard first pushes the messages staged for it into
+//                its own queue (window hooks), then runs up to that bound,
+//                all in parallel (shard 0 on the coordinator), and
+//                quiesces.  The event at `base` always executes, so the
+//                engine makes progress whenever lookahead > 0 (the classic
+//                Chandy–Misra–Bryant argument; with every LP adjacent to
+//                every other through the core, per-neighbor null messages
+//                collapse to this one shared horizon).
 //
 // Global-stream events (control-plane ticks on the PeriodicTick grid, flow
 // arrivals, experiment samplers) act as barriers of their own: when the
@@ -36,9 +37,10 @@
 // Determinism: every event carries an OrderKey (fire, rank of the pushing
 // event, seq) — see event_queue.h.  Shard events push with provisional
 // ranks during windows; after each superstep the coordinator merges the
-// per-shard logs of just-executed events in exact serial order, assigns
-// global execution ranks from the engine-wide counter, and finalizes the
-// surviving pushes and in-flight messages in place.  Global-stream events
+// per-shard logs of just-executed events in exact serial order and assigns
+// global execution ranks from the engine-wide counter.  Each shard rewrites
+// its surviving provisional pushes in place as its next window opens, and
+// staged messages resolve theirs as they are pushed.  Global-stream events
 // are ranked inline as they run.  The result is the same total order one
 // serial queue realizes, so --shards=1 and --shards=N produce
 // byte-identical output — see src/sim/README.md for the full argument.
@@ -106,10 +108,22 @@ class ShardedSimulator {
   void set_lookahead(TimeNs lookahead) { lookahead_ = lookahead; }
   TimeNs lookahead() const { return lookahead_; }
 
+  /// What a barrier hook returns when it staged nothing.
+  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+
   /// Registers a hook run on the coordinator thread at every barrier, with
-  /// all workers quiesced.  The shard router drains its channels here;
-  /// the fabric drains deferred cross-shard maintenance.
-  void add_barrier_hook(std::function<void()> hook);
+  /// all workers quiesced.  It returns the earliest fire time among the
+  /// events it staged for the shards' next windows (kNever for none); the
+  /// window bound counts them as pending.  The shard router stages its
+  /// channels here; the fabric drains deferred cross-shard maintenance.
+  void add_barrier_hook(std::function<TimeNs()> hook);
+
+  /// Registers a hook run for shard k at the start of each window, on the
+  /// thread that runs shard k and before any of its events: it pushes what
+  /// the barrier hooks staged for k into k's queue.  When run/run_until
+  /// return, the coordinator runs it for every shard, so between runs
+  /// every pending event sits in a queue.
+  void add_window_hook(std::function<void(int)> hook);
 
   // --- serial-compatible facade -------------------------------------------
 
@@ -152,19 +166,18 @@ class ShardedSimulator {
   const std::vector<ShardPerf>& shard_perf() const { return perf_; }
 
  private:
-  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
-
   void drive(TimeNs until, bool drain);
   /// Runs one parallel window: every shard executes events with
   /// key < `bound`, then advances its clock to at least `clock_to`.  The
   /// coordinator runs shard 0 while the workers run the rest.
   void superstep(const OrderKey& bound, TimeNs clock_to);
-  /// Shard k's part of the current window.  An exception thrown by one of
-  /// its events is stored in workers_[k].error, not propagated.
+  /// Shard k's part of the current window: its window hooks, then its
+  /// events.  An exception thrown by either is stored in
+  /// workers_[k].error, not propagated.
   void run_window(int k);
   /// Merges the per-shard logs of the window just executed in serial key
-  /// order, assigns global execution ranks, and finalizes every surviving
-  /// provisional push.  Coordinator thread, workers quiesced.
+  /// order and installs the global execution ranks in every shard (see
+  /// Simulator::finalize_window).  Coordinator thread, workers quiesced.
   void finalize_window();
   /// Rethrows the stored exception whose event ranked first, if any.
   void rethrow_shard_error();
@@ -211,7 +224,8 @@ class ShardedSimulator {
   TimeNs lookahead_ = 0;
   Simulator global_;
   std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<std::function<void()>> barrier_hooks_;
+  std::vector<std::function<TimeNs()>> barrier_hooks_;
+  std::vector<std::function<void(int)>> window_hooks_;
   /// Global execution-rank counter shared by every member simulator: the
   /// global stream increments it inline as its events run; shard windows
   /// draw their ranks from it in the barrier merge.

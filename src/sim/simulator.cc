@@ -26,6 +26,7 @@ void Simulator::run_until(TimeNs until) {
 }
 
 void Simulator::run_to_key(const OrderKey& bound) {
+  assert(!ranks_pending_);
   while (!queue_.empty() && queue_.next_key() < bound) {
     EventQueue::Fired fired = queue_.pop();
     now_ = fired.at;
@@ -55,8 +56,16 @@ void Simulator::run_one() {
 
 void Simulator::finalize_window(std::vector<std::uint64_t>&& ranks) {
   assert(ranks.size() == window_log_.size());
+  apply_ranks();  // normally done as this window opened
   last_ranks_.swap(ranks);  // the old buffer goes back to the caller's slot
   last_base_ = log_base_;
+  ranks_pending_ = true;
+  window_log_.clear();
+  log_base_ = local_exec_count_;
+}
+
+void Simulator::apply_ranks() {
+  if (!ranks_pending_) return;
   for (const EventId id : provisional_) {
     std::uint64_t* rank = queue_.rank_of(id);
     if (rank != nullptr && *rank >= kProvisionalRankBase) {
@@ -64,8 +73,7 @@ void Simulator::finalize_window(std::vector<std::uint64_t>&& ranks) {
     }
   }
   provisional_.clear();
-  window_log_.clear();
-  log_base_ = local_exec_count_;
+  ranks_pending_ = false;
 }
 
 }  // namespace numfabric::sim

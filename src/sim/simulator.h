@@ -87,6 +87,7 @@ class Simulator {
   template <typename F>
   EventId schedule_keyed(TimeNs at, std::uint64_t rank, std::uint64_t seq,
                          F&& action) {
+    assert(!ranks_pending_);
     ++keyed_pushes_;
     return queue_.push(at, rank, seq, std::forward<F>(action));
   }
@@ -143,15 +144,25 @@ class Simulator {
   std::uint64_t window_log_base() const { return log_base_; }
 
   /// Installs the global execution ranks for this window's events (parallel
-  /// array to window_log(), assigned by the engine's barrier merge),
-  /// rewrites every surviving provisional push in place, and opens the next
-  /// window.  The rewrite maps provisional fields — monotone in local push
-  /// order — to ranks that are monotone in the same order, so no pair of
-  /// entries swaps and the heap needs no re-sift.
+  /// array to window_log(), assigned by the engine's barrier merge) and
+  /// opens the next window.  Rewriting the surviving provisional pushes is
+  /// left to apply_ranks().
   void finalize_window(std::vector<std::uint64_t>&& ranks);
 
+  /// Rewrites every surviving provisional push of the last finalized window
+  /// to its exact rank, in place; a no-op when already done.  The rewrite
+  /// maps provisional fields — monotone in local push order, and above every
+  /// real rank — to ranks that are monotone in the same order and above
+  /// every rank the queue held before the window, so no pair of queued
+  /// entries swaps and the heap needs no re-sift.  A key pushed before the
+  /// rewrite could fall between a provisional entry's old and new rank, so
+  /// the engine calls this before any push or run_to_key() after a
+  /// finalize_window() — on the shard's own thread as its next window
+  /// opens, or on the coordinator before a global event or a return.
+  void apply_ranks();
+
   /// Resolves a rank field recorded during the last finalized window (the
-  /// router resolves message keys with this at merge time).
+  /// router resolves message keys with this as it drains them).
   std::uint64_t resolve_rank(std::uint64_t rank_field) const {
     if (rank_field < kProvisionalRankBase) return rank_field;
     const std::uint64_t idx = rank_field - kProvisionalRankBase;
@@ -171,6 +182,7 @@ class Simulator {
  private:
   template <typename F>
   EventId push(TimeNs at, F&& action) {
+    assert(!ranks_pending_);
     const std::uint64_t rank = push_rank();
     const EventId id = queue_.push(at, rank, push_seq(), std::forward<F>(action));
     if (rank >= kProvisionalRankBase) provisional_.push_back(id);
@@ -201,7 +213,8 @@ class Simulator {
   std::uint64_t local_exec_count_ = 0;  // events executed in deferred mode
   std::uint64_t log_base_ = 0;          // local index of window_log_[0]
   std::vector<OrderKey> window_log_;    // keys executed this window
-  std::vector<EventId> provisional_;    // provisional pushes this window
+  std::vector<EventId> provisional_;    // provisional pushes to rewrite
+  bool ranks_pending_ = false;          // provisional_ awaits apply_ranks()
   std::vector<std::uint64_t> last_ranks_;  // ranks of the last window
   std::uint64_t last_base_ = 0;            // local index of last_ranks_[0]
 };

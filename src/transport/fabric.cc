@@ -93,6 +93,7 @@ void Fabric::set_sharding(const net::ShardPlan* plan,
       host->unregister_flow(id);
     }
     pending_unregister_.clear();
+    return sim::ShardedSimulator::kNever;
   });
 }
 
