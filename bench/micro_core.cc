@@ -476,13 +476,12 @@ BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
 // experiment (4-leaf/16-host fabric, 3 ms simulated) per iteration at
 // --shards = 1 / 2 / 4.  Items = simulator events, so items_per_second is
 // whole-engine event throughput including setup, barriers and the rank
-// merge.  Wall time on a 4-vCPU KVM guest: ~16 ms at Arg(1), 11-29 ms at
-// Arg(2) (depending on which vCPUs the two threads land on) and 25-34 ms at
-// Arg(4), where four threads on four cores park between windows.  Measured
-// as whole-process cpu time + wall throughput: the default main-thread-only
-// cpu clock would miss the worker threads entirely.  At Arg(2) the worker
-// spins while the calling thread merges ranks, so cpu time is about twice
-// wall time by design.
+// merge.  Wall time on a 4-vCPU KVM guest: ~15 ms at Arg(1), 24-25 ms at
+// Arg(2) and ~26 ms at Arg(4): this fabric's windows hold so few events
+// that the two futex handoffs per window outweigh the parallel work.
+// Measured as whole-process cpu time + wall throughput: the default
+// main-thread-only cpu clock would miss the worker threads entirely and
+// make the sharded legs look several times faster than serial.
 void BM_ShardedFabric(benchmark::State& state) {
   exp::TrafficOptions options;
   options.topology.hosts_per_leaf = 4;

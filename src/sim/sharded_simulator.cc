@@ -14,53 +14,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-/// How long a waiting thread spins before it parks.  The budget covers the
-/// coordinator's serial barrier section at 2 shards (hooks, rank merge, one
-/// global event: ~11 us per window on the 16x8x4 permutation), so a worker
-/// normally picks up the next window without a futex round trip; a longer
-/// wait (setup, code between runs) parks.  Longer budgets spun through more
-/// host preemption on a 4-vCPU KVM guest: bench/e2e packet-permutation
-/// medians over 8 interleaved rounds were 0.94 s at 50 us, 0.89 s at 20 us
-/// and 0.84 s parking at once, against 1.10 s for the previous handoff.
-constexpr std::uint64_t kSpinNs = 20'000;
-
-/// Threads of every live sharded engine in the process: N per N-shard
-/// engine, its N-1 workers plus the coordinator.
-std::atomic<int> g_engine_threads{0};
-
-/// Spinning pays only while every engine thread has a hardware thread to
-/// itself and one is left for the rest of the system.  Past that a spinner
-/// burns the core the awaited thread needs: on a 4-core host the 16x8x4
-/// permutation at 4 shards took 0.67-1.6 s spinning, 0.77-1.03 s parking.
-bool spinning_pays() {
-  static const int hardware_threads =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  return g_engine_threads.load(std::memory_order_relaxed) < hardware_threads;
-}
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Polls `ready` for up to kSpinNs (not at all when spinning does not pay);
-/// returns its last answer.
-template <typename Ready>
-bool spin_until(const Ready& ready) {
-  if (!spinning_pays()) return ready();
-  const std::uint64_t deadline = steady_ns() + kSpinNs;
-  for (;;) {
-    for (int i = 0; i < 32; ++i) {
-      if (ready()) return true;
-      cpu_relax();
-    }
-    if (steady_ns() >= deadline) return ready();
-  }
-}
-
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(int shards)
@@ -84,9 +37,9 @@ ShardedSimulator::ShardedSimulator(int shards)
   perf_.resize(static_cast<std::size_t>(num_shards_));
   window_before_.resize(static_cast<std::size_t>(num_shards_));
   ranks_scratch_.resize(static_cast<std::size_t>(num_shards_));
-  cursors_.resize(static_cast<std::size_t>(num_shards_));
+  merge_pos_.resize(static_cast<std::size_t>(num_shards_));
+  merge_head_.resize(static_cast<std::size_t>(num_shards_));
   workers_.resize(static_cast<std::size_t>(num_shards_));
-  g_engine_threads.fetch_add(num_shards_, std::memory_order_relaxed);
   // Shard 0 runs on the coordinator; shards 1..N-1 get a thread each.
   threads_.reserve(static_cast<std::size_t>(num_shards_ - 1));
   for (int k = 1; k < num_shards_; ++k) {
@@ -95,11 +48,13 @@ ShardedSimulator::ShardedSimulator(int shards)
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!sharded()) return;
-  quit_ = true;
-  open_window();  // every worker wakes into the quit check
+  if (threads_.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    quit_ = true;
+  }
+  cv_work_.notify_all();
   for (std::thread& t : threads_) t.join();
-  g_engine_threads.fetch_sub(num_shards_, std::memory_order_relaxed);
 }
 
 void ShardedSimulator::add_barrier_hook(std::function<TimeNs()> hook) {
@@ -146,6 +101,10 @@ void ShardedSimulator::run_until(TimeNs until) {
 }
 
 void ShardedSimulator::drive(TimeNs until, bool drain) {
+  if (failed_) {
+    throw std::logic_error(
+        "ShardedSimulator: cannot run again after a shard event threw");
+  }
   if (lookahead_ <= 0) {
     throw std::logic_error(
         "ShardedSimulator: set_lookahead(>0) required before running");
@@ -195,16 +154,11 @@ void ShardedSimulator::drive(TimeNs until, bool drain) {
     rethrow_shard_error();
 
     if (exec_global) {
-      // The event may push into shard queues.
-      for (auto& shard : shards_) shard->apply_ranks();
+      settle_shards();  // the event may push into shard queues
       global_.run_one();
     }
   }
-  // Leave every queue final: ranks applied, staged messages pushed.
-  for (int k = 0; k < num_shards_; ++k) {
-    shards_[static_cast<std::size_t>(k)]->apply_ranks();
-    for (const auto& hook : window_hooks_) hook(k);
-  }
+  settle_shards();
 
   // Align clocks the way one serial simulator would have left them.  After
   // stop() the serial contract leaves the clock on the stopping event (a
@@ -227,12 +181,20 @@ void ShardedSimulator::superstep(const OrderKey& bound, TimeNs clock_to) {
     window_before_[static_cast<std::size_t>(k)] =
         shards_[static_cast<std::size_t>(k)]->events_executed();
   }
-  bound_ = bound;
-  clock_to_ = clock_to;
-  open_window();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    bound_ = bound;
+    clock_to_ = clock_to;
+    done_ = 0;
+    ++epoch_;
+  }
+  cv_work_.notify_all();
   run_window(0);
   const std::uint64_t wait_start = steady_ns();
-  await_workers();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_done_.wait(lock, [this] { return done_ == num_shards_ - 1; });
+  }
   workers_[0].blocked_ns += steady_ns() - wait_start;
   for (int k = 0; k < num_shards_; ++k) {
     const auto idx = static_cast<std::size_t>(k);
@@ -244,11 +206,21 @@ void ShardedSimulator::superstep(const OrderKey& bound, TimeNs clock_to) {
   }
 }
 
+void ShardedSimulator::open_shard(int k) {
+  shards_[static_cast<std::size_t>(k)]->apply_ranks();
+  for (const auto& hook : window_hooks_) hook(k);
+}
+
+void ShardedSimulator::settle_shards() {
+  for (int k = 0; k < num_shards_; ++k) open_shard(k);
+}
+
 void ShardedSimulator::run_window(int k) {
+  // bound_ and clock_to_ stay fixed until every shard has finished the
+  // window: the coordinator writes them, under mu_, only after done_ says so.
   Simulator& sim = *shards_[static_cast<std::size_t>(k)];
   try {
-    sim.apply_ranks();
-    for (const auto& hook : window_hooks_) hook(k);
+    open_shard(k);
     sim.run_to_key(bound_);
     sim.advance_to(clock_to_);
   } catch (...) {
@@ -258,93 +230,61 @@ void ShardedSimulator::run_window(int k) {
 
 void ShardedSimulator::finalize_window() {
   // Each shard's window log lists the keys it executed, in local execution
-  // order — which is serial order restricted to that shard.  Merging the
-  // logs therefore visits the window's events in exact serial order; each
-  // visit assigns the next global rank.  The merge gallops: while one log's
-  // next fire time is below every other log's head, its entries take
-  // consecutive ranks with no key comparison.  Only heads tied on fire time
-  // compare full keys, and only then is a provisional rank resolved: the
-  // entry's pusher sits earlier in the same log (strictly smaller key, hence
-  // already ranked).
-  const auto n = static_cast<std::size_t>(num_shards_);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::vector<OrderKey>& log = shards_[k]->window_log();
-    ranks_scratch_[k].resize(log.size());
-    cursors_[k] = MergeCursor{log.data(), log.data(), log.data() + log.size(),
-                              ranks_scratch_[k].data(),
-                              kProvisionalRankBase +
-                                  shards_[k]->window_log_base()};
+  // order — which is serial order restricted to that shard.  A k-way merge
+  // over the logs therefore visits the window's events in exact serial
+  // order; each visit assigns the next global rank.  A logged key may still
+  // be provisional (the event was pushed and consumed inside this window):
+  // its pusher sits earlier in the same log — strictly smaller key, hence
+  // already merged and ranked — so heads always resolve.
+  const auto resolve_head = [&](int k) -> bool {
+    auto& shard = *shards_[static_cast<std::size_t>(k)];
+    const auto& log = shard.window_log();
+    const std::size_t pos = merge_pos_[static_cast<std::size_t>(k)];
+    if (pos == log.size()) return false;
+    OrderKey key = log[pos];
+    if (key.rank >= kProvisionalRankBase) {
+      const std::uint64_t idx =
+          key.rank - kProvisionalRankBase - shard.window_log_base();
+      key.rank = ranks_scratch_[static_cast<std::size_t>(k)][idx];
+    }
+    merge_head_[static_cast<std::size_t>(k)] = key;
+    return true;
+  };
+
+  std::size_t remaining = 0;
+  for (int k = 0; k < num_shards_; ++k) {
+    const auto idx = static_cast<std::size_t>(k);
+    merge_pos_[idx] = 0;
+    ranks_scratch_[idx].resize(shards_[idx]->window_log().size());
+    remaining += shards_[idx]->window_log().size();
+    resolve_head(k);
   }
-  // A local counter: stores through the rank arrays may alias the member.
-  std::uint64_t rank = rank_counter_;
-  for (;;) {
-    // The earliest head fire time, its log, and the runner-up time.
-    std::size_t best = n;
-    TimeNs best_at = kNever;
-    TimeNs next_at = kNever;
-    for (std::size_t k = 0; k < n; ++k) {
-      const MergeCursor& c = cursors_[k];
-      if (c.head == c.end) continue;
-      const TimeNs at = c.head->at;
-      if (at < best_at) {
-        next_at = best_at;
-        best_at = at;
+  while (remaining > 0) {
+    int best = -1;
+    for (int k = 0; k < num_shards_; ++k) {
+      const auto idx = static_cast<std::size_t>(k);
+      if (merge_pos_[idx] == shards_[idx]->window_log().size()) continue;
+      if (best < 0 ||
+          merge_head_[idx] < merge_head_[static_cast<std::size_t>(best)]) {
         best = k;
-      } else if (at < next_at) {
-        next_at = at;
       }
     }
-    if (best == n) break;
-
-    if (best_at < next_at) {
-      MergeCursor& c = cursors_[best];
-      do {
-        c.take(++rank);
-      } while (c.head != c.end && c.head->at < next_at);
-      continue;
-    }
-
-    // Heads tied at best_at: the smallest full key goes first, and its log
-    // keeps going while its entries stay below the runner-up key.
-    best = n;
-    bool have_next = false;  // at least two heads tie, so this ends true
-    OrderKey best_key{};
-    OrderKey next_key{};
-    for (std::size_t k = 0; k < n; ++k) {
-      const MergeCursor& c = cursors_[k];
-      if (c.head == c.end || c.head->at != best_at) continue;
-      const OrderKey key = c.head_key();
-      if (best == n) {
-        best_key = key;
-        best = k;
-      } else if (key < best_key) {
-        next_key = best_key;
-        have_next = true;
-        best_key = key;
-        best = k;
-      } else if (!have_next || key < next_key) {
-        next_key = key;
-        have_next = true;
-      }
-    }
-    MergeCursor& c = cursors_[best];
-    do {
-      c.take(++rank);
-    } while (c.head != c.end && c.head->at == best_at &&
-             c.head_key() < next_key);
+    const auto bidx = static_cast<std::size_t>(best);
+    ranks_scratch_[bidx][merge_pos_[bidx]++] = ++rank_counter_;
+    resolve_head(best);
+    --remaining;
   }
-  rank_counter_ = rank;
-
-  for (std::size_t k = 0; k < n; ++k) {
+  for (int k = 0; k < num_shards_; ++k) {
+    const auto idx = static_cast<std::size_t>(k);
     // A throwing event is the last one its shard logged; a throwing window
     // hook ran before any of them.
-    if (workers_[k].error) {
-      workers_[k].error_rank =
-          ranks_scratch_[k].empty() ? 0 : ranks_scratch_[k].back();
+    if (workers_[idx].error) {
+      workers_[idx].error_rank =
+          ranks_scratch_[idx].empty() ? 0 : ranks_scratch_[idx].back();
     }
     // finalize_window swaps buffers, handing the old rank vector back into
     // the scratch slot so no allocation recurs at steady state.
-    shards_[k]->finalize_window(std::move(ranks_scratch_[k]));
+    shards_[idx]->finalize_window(std::move(ranks_scratch_[idx]));
   }
 }
 
@@ -356,74 +296,36 @@ void ShardedSimulator::rethrow_shard_error() {
     }
   }
   if (first == nullptr) return;
-  const std::exception_ptr error = first->error;
-  for (WorkerState& w : workers_) w.error = nullptr;
-  for (auto& shard : shards_) shard->apply_ranks();
+  // Every shard has quiesced, so no worker runs while the caller unwinds
+  // (and destroys what the shards' events touch).
+  failed_ = true;
+  settle_shards();
   fold_worker_stats();
-  std::rethrow_exception(error);
-}
-
-void ShardedSimulator::open_window() {
-  running_.store(num_shards_ - 1, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_workers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_work_.notify_all();
-  }
-}
-
-std::uint64_t ShardedSimulator::await_epoch(std::uint64_t seen) {
-  const auto opened = [&] {
-    return epoch_.load(std::memory_order_acquire) != seen;
-  };
-  if (!spin_until(opened)) {
-    std::unique_lock<std::mutex> lock(mu_);
-    parked_workers_.fetch_add(1, std::memory_order_seq_cst);
-    cv_work_.wait(lock, [&] {
-      return epoch_.load(std::memory_order_seq_cst) != seen;
-    });
-    parked_workers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  return epoch_.load(std::memory_order_acquire);
-}
-
-void ShardedSimulator::await_workers() {
-  const auto done = [&] {
-    return running_.load(std::memory_order_acquire) == 0;
-  };
-  if (spin_until(done)) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  coordinator_parked_.store(true, std::memory_order_seq_cst);
-  cv_done_.wait(lock, [&] {
-    return running_.load(std::memory_order_seq_cst) == 0;
-  });
-  coordinator_parked_.store(false, std::memory_order_relaxed);
+  std::rethrow_exception(first->error);
 }
 
 void ShardedSimulator::worker_main(int k) {
-  WorkerState& self = workers_[static_cast<std::size_t>(k)];
-  std::uint64_t seen = 0;
+  const auto idx = static_cast<std::size_t>(k);
+  std::uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     const std::uint64_t wait_start = steady_ns();
-    seen = await_epoch(seen);
-    self.blocked_ns += steady_ns() - wait_start;
+    cv_work_.wait(lock, [&] { return quit_ || epoch_ != seen_epoch; });
+    workers_[idx].blocked_ns += steady_ns() - wait_start;
     if (quit_) return;
+    seen_epoch = epoch_;
+    lock.unlock();
+
     run_window(k);
-    self.published = substrate_stats();
-    // The last worker out wakes the coordinator if it parked.  The
-    // seq_cst pair (decrement, then read the flag) against the
-    // coordinator's (set the flag, then read the count) means at least one
-    // side sees the other: no lost wakeup.
-    if (running_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-        coordinator_parked_.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_done_.notify_one();
-    }
+
+    lock.lock();
+    workers_[idx].published = substrate_stats();
+    if (++done_ == num_shards_ - 1) cv_done_.notify_one();
   }
 }
 
 void ShardedSimulator::fold_worker_stats() {
-  // Workers are quiesced: their last decrement of running_ published these.
+  std::lock_guard<std::mutex> lock(mu_);
   for (int k = 0; k < num_shards_; ++k) {
     const auto idx = static_cast<std::size_t>(k);
     WorkerState& w = workers_[idx];

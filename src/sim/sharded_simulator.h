@@ -44,17 +44,8 @@
 // are ranked inline as they run.  The result is the same total order one
 // serial queue realizes, so --shards=1 and --shards=N produce
 // byte-identical output — see src/sim/README.md for the full argument.
-//
-// Handoff: a window opens when the coordinator bumps an atomic epoch and
-// closes when an atomic count of running workers reaches zero.  Each
-// waiting side spins for a short fixed budget — long enough to cover the
-// coordinator's serial barrier section — and then parks on a condition
-// variable.  Spinning happens only while the threads of every live engine
-// in the process fit in the machine's hardware threads with one to spare;
-// past that, waiters park at once.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -120,9 +111,9 @@ class ShardedSimulator {
 
   /// Registers a hook run for shard k at the start of each window, on the
   /// thread that runs shard k and before any of its events: it pushes what
-  /// the barrier hooks staged for k into k's queue.  When run/run_until
-  /// return, the coordinator runs it for every shard, so between runs
-  /// every pending event sits in a queue.
+  /// the barrier hooks staged for k into k's queue.  The coordinator also
+  /// runs it for every shard before a global event and before run/run_until
+  /// return, so between runs every pending event sits in a queue.
   void add_window_hook(std::function<void(int)> hook);
 
   // --- serial-compatible facade -------------------------------------------
@@ -144,8 +135,8 @@ class ShardedSimulator {
   /// Runs until every queue and channel drains, or stop() is called.
   /// If shard events throw, every shard finishes its window first, then
   /// the exception of the throwing event with the smallest key propagates
-  /// (the one a serial run would have thrown); the engine can still be
-  /// destroyed, but not resumed.
+  /// (the one a serial run would have thrown).  The engine can then only be
+  /// destroyed: a later run/run_until throws std::logic_error.
   void run();
 
   /// Runs events with time <= `until`, then sets every clock to `until`.
@@ -171,10 +162,18 @@ class ShardedSimulator {
   /// key < `bound`, then advances its clock to at least `clock_to`.  The
   /// coordinator runs shard 0 while the workers run the rest.
   void superstep(const OrderKey& bound, TimeNs clock_to);
-  /// Shard k's part of the current window: its window hooks, then its
-  /// events.  An exception thrown by either is stored in
-  /// workers_[k].error, not propagated.
+  /// Shard k's part of the current window: open_shard(k), then its events.
+  /// An exception thrown by either is stored in workers_[k].error, not
+  /// propagated.
   void run_window(int k);
+  /// Readies shard k's queue for pushes and runs: rewrites its provisional
+  /// ranks (Simulator::apply_ranks), then runs the window hooks for k.
+  /// Shard k's thread does this as each window opens.
+  void open_shard(int k);
+  /// open_shard for every shard, on the coordinator: before a global event
+  /// (it may push into shard queues) and before run/run_until return or
+  /// rethrow.
+  void settle_shards();
   /// Merges the per-shard logs of the window just executed in serial key
   /// order and installs the global execution ranks in every shard (see
   /// Simulator::finalize_window).  Coordinator thread, workers quiesced.
@@ -184,40 +183,15 @@ class ShardedSimulator {
   void worker_main(int k);
   void fold_worker_stats();
 
-  // Window handoff: the waits spin, then park on cv_work_ / cv_done_.
-  std::uint64_t await_epoch(std::uint64_t seen);
-  void await_workers();
-  void open_window();
-
   /// One per shard.  Shard 0 runs on the coordinator, so its substrate
   /// counters land in the caller's TLS directly and its published/folded
   /// stay zero.
   struct WorkerState {
-    SubstrateStats published;  // worker TLS totals at its last window's end
+    SubstrateStats published;  // worker TLS totals, copied under mu_
     SubstrateStats folded;     // portion already folded into the caller TLS
     std::uint64_t blocked_ns = 0;
     std::exception_ptr error;      // what this shard's window threw
     std::uint64_t error_rank = 0;  // global rank of the throwing event
-  };
-
-  /// One shard's window log during the merge, parallel to its rank array.
-  struct MergeCursor {
-    const OrderKey* begin;
-    const OrderKey* head;
-    const OrderKey* end;
-    std::uint64_t* ranks;            // ranks[i] belongs to begin[i]
-    std::uint64_t provisional_base;  // rank field begin[0]'s pushes carry
-
-    /// The head's key with a provisional rank resolved (its pusher is an
-    /// earlier entry of the same log, already ranked).
-    OrderKey head_key() const {
-      OrderKey key = *head;
-      if (key.rank >= kProvisionalRankBase) {
-        key.rank = ranks[key.rank - provisional_base];
-      }
-      return key;
-    }
-    void take(std::uint64_t rank) { ranks[head++ - begin] = rank; }
   };
 
   const int num_shards_;
@@ -234,26 +208,22 @@ class ShardedSimulator {
   /// events, code between runs) — see Simulator::set_shared_seq.
   std::uint64_t shared_seq_ = 0;
   bool stop_requested_ = false;
+  bool failed_ = false;  // a shard event threw; the engine cannot resume
   std::vector<ShardPerf> perf_;
   std::vector<std::uint64_t> window_before_;  // scratch: events before window
   // finalize_window scratch, reused across barriers.
   std::vector<std::vector<std::uint64_t>> ranks_scratch_;
-  std::vector<MergeCursor> cursors_;
+  std::vector<std::size_t> merge_pos_;
+  std::vector<OrderKey> merge_head_;
 
-  // Worker synchronization.  bound_, clock_to_ and quit_ are written by the
-  // coordinator before it bumps epoch_ and read by workers after they see
-  // the bump; each worker's shard state and WorkerState are published by
-  // its decrement of running_ and read by the coordinator once running_ is
-  // zero.  mu_ guards only parking: a waiter registers in parked_workers_
-  // or coordinator_parked_ under mu_ before it re-checks its condition, so
-  // the waking side notifies under mu_ only when someone is parked.
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> running_{0};
-  std::atomic<int> parked_workers_{0};
-  std::atomic<bool> coordinator_parked_{false};
+  // Worker synchronization.  All shared control state lives under mu_; the
+  // cv_work_/cv_done_ edges give the happens-before that publishes shard
+  // simulator state between workers and the coordinator.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
+  std::uint64_t epoch_ = 0;
+  int done_ = 0;  // workers that finished the current window
   OrderKey bound_{};
   TimeNs clock_to_ = 0;
   bool quit_ = false;

@@ -36,9 +36,14 @@ void Simulator::run_to_key(const OrderKey& bound) {
       // its pushes carry a provisional rank encoding its local index.
       window_log_.push_back(OrderKey{fired.at, fired.rank, fired.seq});
       exec_rank_field_ = kProvisionalRankBase + local_exec_count_++;
-      in_shard_event_ = true;
+      // Cleared on unwind too: pushes made after a throwing event (by the
+      // caller, between runs) must take shared keys again.
+      struct InShardEvent {
+        bool& flag;
+        explicit InShardEvent(bool& f) : flag(f) { flag = true; }
+        ~InShardEvent() { flag = false; }
+      } in_event(in_shard_event_);
       fired.action();
-      in_shard_event_ = false;
     } else {
       ++*rank_counter_;
       fired.action();
@@ -56,7 +61,7 @@ void Simulator::run_one() {
 
 void Simulator::finalize_window(std::vector<std::uint64_t>&& ranks) {
   assert(ranks.size() == window_log_.size());
-  apply_ranks();  // normally done as this window opened
+  assert(!ranks_pending_);  // applied as this window opened
   last_ranks_.swap(ranks);  // the old buffer goes back to the caller's slot
   last_base_ = log_base_;
   ranks_pending_ = true;

@@ -145,8 +145,8 @@ TEST(ShardedSimulatorTest, RunUntilAlignsEveryClock) {
 TEST(ShardedSimulatorTest, ShardEventExceptionReachesCaller) {
   // An exception thrown by a shard event reaches run()'s caller, as it
   // would from a serial Simulator, whether the event ran on the coordinator
-  // (shard 0) or on a worker (shard 1).  Later events never run, and the
-  // engine still shuts down cleanly.
+  // (shard 0) or on a worker (shard 1).  Later events never run, the
+  // engine refuses to run again, and it still shuts down cleanly.
   for (const int thrower : {0, 1}) {
     int later = 0;
     {
@@ -157,6 +157,7 @@ TEST(ShardedSimulatorTest, ShardEventExceptionReachesCaller) {
       engine.shard(1 - thrower).schedule_at(sim::micros(50),
                                             [&later] { ++later; });
       EXPECT_THROW(engine.run(), std::runtime_error) << "thrower " << thrower;
+      EXPECT_THROW(engine.run(), std::logic_error) << "thrower " << thrower;
     }
     EXPECT_EQ(later, 0) << "thrower " << thrower;
   }
@@ -166,7 +167,7 @@ TEST(ShardedSimulatorTest, ShardEventExceptionReachesCaller) {
   // setup, shard 1 first, so at equal times shard 1's comes first.
   // Otherwise each throwing event is pushed by an event of its own shard
   // (shard 0's pusher runs first), so the tie resolves through ranks
-  // assigned in the window.
+  // assigned in the window's merge.
   const auto first_error = [](sim::TimeNs at0, sim::TimeNs at1,
                               bool direct) -> std::string {
     sim::ShardedSimulator engine(2);
@@ -202,7 +203,7 @@ TEST(ShardedSimulatorTest, ManyShortLegsAlignClocksAndShutDownParked) {
   // Hundreds of one-lookahead run_until legs, each a handful of window
   // handoffs, with a ticker on every shard firing twice per lookahead.
   // Every leg must leave every clock on its end.  Afterwards the workers
-  // outwait the spin budget and park; destruction must still wake them.
+  // sit parked for a while; destruction must still wake them.
   constexpr int kShards = 3;
   constexpr int kLegs = 200;
   const sim::TimeNs lookahead = sim::micros(1);
@@ -404,7 +405,7 @@ std::string run_wide_permutation(int shards) {
 
 TEST(ShardedGoldenTest, PermutationWithMoreShardsThanCoresMatchesSerial) {
   // Eight shards are eight engine threads: more than a 4-core host or a CI
-  // runner has, so every window handoff parks at once instead of spinning.
+  // runner has, so threads wait for cores as well as for each other.
   const std::string serial = run_wide_permutation(1);
   const std::string sharded = run_wide_permutation(8);
   EXPECT_EQ(serial, sharded)
