@@ -82,6 +82,65 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
 
+// Forwards every packet it receives onto `next`: a one-port switch.
+class Relay : public net::Node {
+ public:
+  Relay() : Node(0, "relay") {}
+  void receive(net::Packet&& packet) override { next->send(std::move(packet)); }
+  net::Link* next = nullptr;
+};
+
+// The link/queue layer on its own: per iteration, 256 packets of 1500 B
+// cross a chain of four 10 Gb/s links with 1 us of propagation.  The first
+// half is paced at 1.5x the serialization time, so every hop finds its
+// transmitter idle and the last finish long past (an eager finish event
+// would find the queue empty); the second half leaves in one burst that
+// queues at the first hop and then flows back to back, each packet waiting
+// for the previous one's finish.  Items = packet hops, so items_per_second
+// is the forwarding rate of Link::send, the drop-tail queue and the event
+// queue.
+void BM_LinkForwarding(benchmark::State& state) {
+  constexpr int kHops = 4;
+  constexpr int kPackets = 256;
+  constexpr sim::TimeNs kTx = 1200;  // 1500 B at 10 Gb/s
+  sim::Simulator sim;
+  net::Host sink(0, "sink");
+  std::vector<std::unique_ptr<Relay>> relays;
+  std::vector<std::unique_ptr<net::Link>> links(kHops);
+  net::Node* dst = &sink;
+  for (int hop = kHops - 1; hop >= 0; --hop) {
+    links[static_cast<std::size_t>(hop)] = std::make_unique<net::Link>(
+        sim, "l", 10e9, sim::micros(1),
+        std::make_unique<net::DropTailQueue>(1 << 20), dst);
+    if (hop > 0) {
+      relays.push_back(std::make_unique<Relay>());
+      relays.back()->next = links[static_cast<std::size_t>(hop)].get();
+      dst = relays.back().get();
+    }
+  }
+  net::Link& first = *links.front();
+  const auto send = [&first] {
+    net::Packet p;
+    p.type = net::PacketType::kData;
+    p.size = 1500;
+    first.send(std::move(p));
+  };
+  for (auto _ : state) {
+    const sim::TimeNs start = sim.now();
+    const sim::TimeNs gap = kTx * 3 / 2;
+    for (int i = 0; i < kPackets / 2; ++i) {
+      sim.schedule_at(start + i * gap, send);
+    }
+    sim.schedule_at(start + kPackets / 2 * gap, [&send] {
+      for (int i = 0; i < kPackets / 2; ++i) send();
+    });
+    sim.run();
+    benchmark::DoNotOptimize(sink.stray_packets());
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets * kHops);
+}
+BENCHMARK(BM_LinkForwarding);
+
 void BM_WfqEnqueueDequeue(benchmark::State& state) {
   const int num_flows = static_cast<int>(state.range(0));
   net::WfqQueue queue(1 << 30);
@@ -476,9 +535,11 @@ BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
 // experiment (4-leaf/16-host fabric, 3 ms simulated) per iteration at
 // --shards = 1 / 2 / 4.  Items = simulator events, so items_per_second is
 // whole-engine event throughput including setup, barriers and the rank
-// merge.  Wall time on a 4-vCPU KVM guest: ~15 ms at Arg(1), 24-25 ms at
-// Arg(2) and ~26 ms at Arg(4): this fabric's windows hold so few events
-// that the two futex handoffs per window outweigh the parallel work.
+// merge (it fell when links stopped pushing idle serialization finishes:
+// fewer events for the same simulated traffic).  Median wall time of six
+// runs on a 4-vCPU KVM guest: ~29 ms at Arg(1), ~69 ms at Arg(2) and at
+// Arg(4): this fabric's windows hold so few events that the two futex
+// handoffs per window outweigh the parallel work.
 // Measured as whole-process cpu time + wall throughput: the default
 // main-thread-only cpu clock would miss the worker threads entirely and
 // make the sharded legs look several times faster than serial.

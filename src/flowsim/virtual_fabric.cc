@@ -25,7 +25,8 @@ std::vector<double> VirtualLeafSpine::capacities() const {
   if (hosts_per_leaf < 1 || leaves < 1 || spines < 1) {
     throw std::invalid_argument("VirtualLeafSpine: non-positive dimension");
   }
-  if (host_rate <= 0 || leaf_spine_rate <= 0) {
+  if (!sim::valid_rate_bps(host_rate) ||
+      !sim::valid_rate_bps(leaf_spine_rate)) {
     throw std::invalid_argument("VirtualLeafSpine: non-positive rate");
   }
   std::vector<double> caps(static_cast<std::size_t>(links()));

@@ -56,7 +56,7 @@ int FabricGraph::add_cable(int a, int b, double rate_bps, sim::TimeNs delay) {
   if (a == b) {
     throw std::invalid_argument("FabricGraph::add_cable: self-cable");
   }
-  if (!(rate_bps > 0)) {
+  if (!sim::valid_rate_bps(rate_bps)) {
     throw std::invalid_argument("FabricGraph::add_cable: rate must be positive");
   }
   if (delay < 0) {
@@ -132,7 +132,8 @@ FabricGraph make_leaf_spine(const LeafSpineOptions& options) {
         "build_leaf_spine: hosts_per_leaf, num_leaves and num_spines must "
         "all be >= 1");
   }
-  if (!(options.host_rate_bps > 0) || !(options.spine_rate_bps > 0)) {
+  if (!sim::valid_rate_bps(options.host_rate_bps) ||
+      !sim::valid_rate_bps(options.spine_rate_bps)) {
     throw std::invalid_argument(
         "build_leaf_spine: link rates must be positive");
   }
@@ -319,7 +320,8 @@ FabricGraph make_jellyfish(const JellyfishOptions& options) {
   if (options.hosts < 2) {
     throw std::invalid_argument("make_jellyfish: need at least 2 hosts");
   }
-  if (!(options.host_rate_bps > 0) || !(options.switch_rate_bps > 0)) {
+  if (!sim::valid_rate_bps(options.host_rate_bps) ||
+      !sim::valid_rate_bps(options.switch_rate_bps)) {
     throw std::invalid_argument("make_jellyfish: link rates must be positive");
   }
   FabricGraph graph;

@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -19,13 +20,17 @@ Link::Link(sim::Simulator& sim, std::string name, double rate_bps,
       delay_(delay),
       queue_(std::move(queue)),
       dst_(dst) {
-  if (rate_bps_ <= 0) throw std::invalid_argument("Link: rate must be > 0");
+  if (!sim::valid_rate_bps(rate_bps_)) {
+    throw std::invalid_argument("Link: rate must be > 0");
+  }
   if (!queue_) throw std::invalid_argument("Link: queue must not be null");
   if (dst_ == nullptr) throw std::invalid_argument("Link: dst must not be null");
 }
 
 void Link::set_rate_bps(double rate_bps) {
-  if (rate_bps <= 0) throw std::invalid_argument("Link: rate must be > 0");
+  if (!sim::valid_rate_bps(rate_bps)) {
+    throw std::invalid_argument("Link: rate must be > 0");
+  }
   rate_bps_ = rate_bps;
 }
 
@@ -39,6 +44,17 @@ void Link::send(Packet&& packet) {
     control_->saw_residual[control_slot_] = 1;
   }
   if (!queue_->enqueue(std::move(packet))) return;  // dropped; stats in Queue
+  if (finish_reserved_) {
+    // The packet in service left its finish unpushed.  If that finish is
+    // still ahead, this packet waits for it; otherwise the transmitter went
+    // idle at tx_end_ and this packet starts at once.
+    finish_reserved_ = false;
+    if (sim_->is_ahead(tx_end_, finish_key_)) {
+      push_finish();
+      return;
+    }
+    busy_ = false;
+  }
   try_start_tx();
 }
 
@@ -65,24 +81,39 @@ void Link::try_start_tx() {
   ++stats.packets_forwarded;
   stats.bytes_forwarded += next->size;
   const sim::TimeNs tx = sim::transmission_time(next->size, rate_bps_);
-  // Serialization finishes at +tx: free the transmitter and continue.
-  sim_->schedule_in(tx, [this] {
-    busy_ = false;
-    try_start_tx();
-  });
+  assert(sim_->now() >= tx_end_);  // one packet in service at a time
+  tx_end_ = sim_->now() + tx;
+  // Serialization finishes at tx_end_.  Its key is taken before the
+  // delivery's, as if the finish were pushed here.
+  sim_->reserve_push_key(finish_key_);
   // The packet reaches the peer a propagation delay after serialization.
   if (cross_router_ != nullptr) {
     // The peer lives on another shard: the delivery becomes a timestamped
     // message carrying the order key this push would have had serially.
-    cross_router_->post(cross_src_shard_, cross_dst_shard_,
-                        sim_->now() + tx + delay_, sim_->consume_push_key(),
-                        dst_, std::move(*next));
+    cross_router_->post(cross_src_shard_, cross_dst_shard_, tx_end_ + delay_,
+                        sim_->consume_push_key(), dst_, std::move(*next));
   } else {
     // Local delivery: the packet waits in the in-flight ring rather than in
     // a heap-allocated closure.
     inflight_.push_back(std::move(*next));
     sim_->schedule_in(tx + delay_, [this] { deliver_front(); });
   }
+  // The finish matters only to a packet waiting for it: push it now if one
+  // is queued, else leave it to a send() that arrives before it.  Outside
+  // any event (setup, between runs) it is pushed regardless, so is_ahead()
+  // never has to place a finish reserved between runs.
+  if (!queue_->empty() || !sim_->in_event()) {
+    push_finish();
+  } else {
+    finish_reserved_ = true;
+  }
+}
+
+void Link::push_finish() {
+  sim_->schedule_reserved(tx_end_, finish_key_, [this] {
+    busy_ = false;
+    try_start_tx();
+  });
 }
 
 void Link::deliver_front() {

@@ -1,11 +1,24 @@
 // A unidirectional link: queue + serializer + propagation delay.
 //
 // Store-and-forward: a packet occupies the transmitter for size*8/rate, then
-// arrives at the peer node `delay` later.  Per-link protocol state (xWI
-// prices, DGD prices, RCP* fair-share rates) lives in a
-// transport::ControlPlane, the paper's per-egress-port computation (Fig. 3):
-// a link wired to it by attach_control() records observations and stamps
-// headers inline as packets are enqueued and dequeued.
+// arrives at the peer node `delay` later.
+//
+// The serialization finish is an event only when a packet waits for it.  At
+// transmit start the link reserves the finish's order key
+// (Simulator::reserve_push_key) and records its time, tx_end; it pushes the
+// finish with that key at once if the queue still holds a packet, else only
+// when a later send() arrives while the finish is still ahead
+// (Simulator::is_ahead).  A send() that finds it behind starts at once.  A
+// finish that would find the queue empty — ~30% of a packet run's events —
+// is never pushed, and every event that is keeps the key it would have had
+// with an eager finish, so event order is unchanged (src/sim/README.md,
+// "Reserved finish keys").  Transmit starts outside any event (setup,
+// between runs) push the finish eagerly.
+//
+// Per-link protocol state (xWI prices, DGD prices, RCP* fair-share rates)
+// lives in a transport::ControlPlane, the paper's per-egress-port computation
+// (Fig. 3): a link wired to it by attach_control() records observations and
+// stamps headers inline as packets are enqueued and dequeued.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +69,8 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   /// Offers a packet to this link's queue and starts transmitting if idle.
+  /// Call it from an event of the link's simulator (or of the engine's
+  /// global stream), during setup, or between runs.
   void send(Packet&& packet);
 
   const std::string& name() const { return name_; }
@@ -98,8 +113,8 @@ class Link {
 
   /// Marks the link's destination node as living on a different shard:
   /// deliveries are posted to `router` as timestamped cross-shard messages
-  /// instead of being scheduled locally.  The serialization-finish event
-  /// stays local (the transmitter is shard-owned state).
+  /// instead of being scheduled locally.  The serialization-finish event,
+  /// when pushed, stays local (the transmitter is shard-owned state).
   void set_cross_shard(ShardRouter* router, int src_shard, int dst_shard) {
     cross_router_ = router;
     cross_src_shard_ = src_shard;
@@ -108,6 +123,8 @@ class Link {
 
  private:
   void try_start_tx();
+  /// Pushes the serialization finish with the key reserved at its start.
+  void push_finish();
   void deliver_front();
 
   sim::Simulator* sim_;
@@ -121,7 +138,13 @@ class Link {
   const LinkControlArrays* control_ = nullptr;
   std::uint32_t control_slot_ = 0;
   ControlStamp control_mode_ = ControlStamp::kNone;
+  // Transmitter.  busy_ holds from a transmit start until its finish event
+  // runs — or, when that finish was never pushed (finish_reserved_), until
+  // a send() finds it behind the running event.
   bool busy_ = false;
+  bool finish_reserved_ = false;
+  sim::TimeNs tx_end_ = 0;     // serialization finish of the last start
+  sim::PushKey finish_key_{};  // its reserved order key
   std::uint64_t bytes_sent_ = 0;
   // Cross-shard delivery (null for serial runs and intra-shard links).
   ShardRouter* cross_router_ = nullptr;

@@ -31,6 +31,7 @@ ShardedSimulator::ShardedSimulator(int shards)
     auto sim = std::make_unique<Simulator>();
     sim->set_rank_counter(&rank_counter_);
     sim->set_shared_seq(&shared_seq_);
+    sim->set_global_stream(&global_);
     sim->set_deferred_ranks(true);
     shards_.push_back(std::move(sim));
   }
@@ -160,18 +161,21 @@ void ShardedSimulator::drive(TimeNs until, bool drain) {
   }
   settle_shards();
 
-  // Align clocks the way one serial simulator would have left them.  After
-  // stop() the serial contract leaves the clock on the stopping event (a
-  // global-stream sampler), which global_.now() already is.
+  // Align clocks the way one serial simulator would have left them: every
+  // clock on the run's last instant, every event at or before it counted as
+  // run (Simulator::end_run), so a send between runs finds each link's
+  // transmitter where a serial run leaves it.  After stop() the serial
+  // contract leaves the clock on the stopping event (a global-stream
+  // sampler), which global_.now() and every shard clock already are.
   if (!stop_requested_ && !global_.stopped()) {
+    TimeNs last = until;
     if (drain) {
-      TimeNs last = global_.now();
+      last = global_.now();
       for (const auto& shard : shards_) last = std::max(last, shard->now());
-      global_.advance_to(last);
-    } else {
-      global_.advance_to(until);
-      for (auto& shard : shards_) shard->advance_to(until);
     }
+    global_.advance_to(last);
+    for (auto& shard : shards_) shard->advance_to(last);
+    global_.end_run();
   }
   fold_worker_stats();
 }
@@ -198,11 +202,9 @@ void ShardedSimulator::superstep(const OrderKey& bound, TimeNs clock_to) {
   workers_[0].blocked_ns += steady_ns() - wait_start;
   for (int k = 0; k < num_shards_; ++k) {
     const auto idx = static_cast<std::size_t>(k);
-    const std::uint64_t executed = shards_[idx]->events_executed();
-    ShardPerf& perf = perf_[idx];
-    if (executed == window_before_[idx]) ++perf.null_steps;
-    perf.events = executed;
-    perf.merged_msgs = shards_[idx]->keyed_pushes();
+    if (shards_[idx]->events_executed() == window_before_[idx]) {
+      ++perf_[idx].null_steps;
+    }
   }
 }
 
@@ -332,6 +334,10 @@ void ShardedSimulator::fold_worker_stats() {
     substrate_stats() += w.published - w.folded;
     w.folded = w.published;
     perf_[idx].blocked_ns = w.blocked_ns;
+    // Read once the run has settled: settle_shards() merges the messages
+    // posted in the last window after that window's superstep.
+    perf_[idx].events = shards_[idx]->events_executed();
+    perf_[idx].merged_msgs = shards_[idx]->keyed_pushes();
   }
 }
 

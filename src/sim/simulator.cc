@@ -4,58 +4,64 @@ namespace numfabric::sim {
 
 void Simulator::run() {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    EventQueue::Fired fired = queue_.pop();
-    now_ = fired.at;
-    ++*rank_counter_;
-    ++events_executed_;
-    fired.action();
+  {
+    const EventScope scope(in_event_);
+    while (!queue_.empty() && !stopped_) {
+      EventQueue::Fired fired = queue_.pop();
+      now_ = fired.at;
+      running_ = OrderKey{fired.at, fired.rank, fired.seq};
+      ++*rank_counter_;
+      ++events_executed_;
+      fired.action();
+    }
   }
+  end_run();
 }
 
 void Simulator::run_until(TimeNs until) {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= until) {
-    EventQueue::Fired fired = queue_.pop();
-    now_ = fired.at;
-    ++*rank_counter_;
-    ++events_executed_;
-    fired.action();
+  {
+    const EventScope scope(in_event_);
+    while (!queue_.empty() && !stopped_ && queue_.next_time() <= until) {
+      EventQueue::Fired fired = queue_.pop();
+      now_ = fired.at;
+      running_ = OrderKey{fired.at, fired.rank, fired.seq};
+      ++*rank_counter_;
+      ++events_executed_;
+      fired.action();
+    }
   }
   if (!stopped_ && now_ < until) now_ = until;
+  end_run();
 }
 
 void Simulator::run_to_key(const OrderKey& bound) {
   assert(!ranks_pending_);
+  const EventScope scope(in_event_);
   while (!queue_.empty() && queue_.next_key() < bound) {
     EventQueue::Fired fired = queue_.pop();
     now_ = fired.at;
+    running_ = OrderKey{fired.at, fired.rank, fired.seq};
     ++events_executed_;
     if (deferred_ranks_) {
       // The event's rank is assigned at the next barrier merge; until then
       // its pushes carry a provisional rank encoding its local index.
-      window_log_.push_back(OrderKey{fired.at, fired.rank, fired.seq});
+      window_log_.push_back(running_);
       exec_rank_field_ = kProvisionalRankBase + local_exec_count_++;
-      // Cleared on unwind too: pushes made after a throwing event (by the
-      // caller, between runs) must take shared keys again.
-      struct InShardEvent {
-        bool& flag;
-        explicit InShardEvent(bool& f) : flag(f) { flag = true; }
-        ~InShardEvent() { flag = false; }
-      } in_event(in_shard_event_);
-      fired.action();
     } else {
       ++*rank_counter_;
-      fired.action();
     }
+    fired.action();
   }
 }
 
 void Simulator::run_one() {
   EventQueue::Fired fired = queue_.pop();
   now_ = fired.at;
+  running_ = OrderKey{fired.at, fired.rank, fired.seq};
   ++*rank_counter_;
   ++events_executed_;
+  const EventScope scope(in_event_);
   fired.action();
 }
 
@@ -78,6 +84,12 @@ void Simulator::apply_ranks() {
     }
   }
   provisional_.clear();
+  // Reserved keys, pushed or not: a slot reserved several times in the
+  // window is listed once per reservation, and its first visit rewrites it.
+  for (std::uint64_t* rank : reserved_) {
+    if (*rank >= kProvisionalRankBase) *rank = resolve_rank(*rank);
+  }
+  reserved_.clear();
   ranks_pending_ = false;
 }
 

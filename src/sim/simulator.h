@@ -24,6 +24,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -78,6 +79,41 @@ class Simulator {
 
   bool pending() const { return !queue_.empty(); }
 
+  // --- reserved keys (net::Link's lazy serialization finish) ---------------
+
+  /// Consumes the key the next push would use, for an event that may be
+  /// pushed later — or never — with schedule_reserved().  Inside a shard
+  /// window the key carries a provisional rank; apply_ranks() rewrites
+  /// `key` in place with the queue's provisional entries, so it stays exact
+  /// however many windows later it is pushed.  `key` must stay at a fixed
+  /// address until that rewrite (the next apply_ranks()).
+  void reserve_push_key(PushKey& key) {
+    key = consume_push_key();
+    if (key.rank >= kProvisionalRankBase) reserved_.push_back(&key.rank);
+  }
+
+  /// Pushes `action` at `at` with a key from reserve_push_key().  Not a
+  /// keyed push: keyed_pushes() counts cross-shard messages only.
+  template <typename F>
+  EventId schedule_reserved(TimeNs at, PushKey key, F&& action) {
+    assert(!in_event() || !(OrderKey{at, key.rank, key.seq} < running_key()));
+    return push(at, key, std::forward<F>(action));
+  }
+
+  /// True while an event runs anywhere in the engine: one of this
+  /// simulator's, or — for a shard simulator — one of the global stream's.
+  bool in_event() const {
+    return in_event_ || (global_ != nullptr && global_->in_event_);
+  }
+
+  /// True if an event keyed (at, key) has not run yet in the serial order:
+  /// it orders above the running event.  Between runs every event at or
+  /// before now() has run, except after stop(): then the event that called
+  /// stop() stands for the running one.
+  bool is_ahead(TimeNs at, PushKey key) const {
+    return running_key() < OrderKey{at, key.rank, key.seq};
+  }
+
   // --- sharded-engine hooks (see sharded_simulator.h) ----------------------
   // Used only when this Simulator is one logical process (or the global
   // stream) of a ShardedSimulator.  Standalone users never need these.
@@ -90,6 +126,13 @@ class Simulator {
     assert(!ranks_pending_);
     ++keyed_pushes_;
     return queue_.push(at, rank, seq, std::forward<F>(action));
+  }
+
+  /// Ends a run at now(): unless an event stopped it, every event keyed at
+  /// or before now() counts as run (see is_ahead).  run() and run_until()
+  /// end this way; the engine ends each run of its global stream with it.
+  void end_run() {
+    if (!stopped_) running_ = OrderKey{now_, kLastKey, kLastKey};
   }
 
   /// Executes events in key order while key < `bound` (exclusive).
@@ -130,6 +173,12 @@ class Simulator {
   /// across member queues exactly as one serial queue would have.
   void set_shared_seq(std::uint64_t* counter) { shared_seq_ = counter; }
 
+  /// Points a shard simulator at the engine's global stream, whose running
+  /// event is the engine's outside this shard's windows (in_event,
+  /// is_ahead): a global event may send on a shard-owned link, and between
+  /// runs the global stream's clock and stop state are the engine's.
+  void set_global_stream(const Simulator* global) { global_ = global; }
+
   /// Deferred-rank mode (shard simulators only): events executed via
   /// run_to_key() push with provisional ranks encoding the pusher's local
   /// execution index, the window's executed keys are logged for the barrier
@@ -150,15 +199,16 @@ class Simulator {
   void finalize_window(std::vector<std::uint64_t>&& ranks);
 
   /// Rewrites every surviving provisional push of the last finalized window
-  /// to its exact rank, in place; a no-op when already done.  The rewrite
-  /// maps provisional fields — monotone in local push order, and above every
-  /// real rank — to ranks that are monotone in the same order and above
-  /// every rank the queue held before the window, so no pair of queued
-  /// entries swaps and the heap needs no re-sift.  A key pushed before the
-  /// rewrite could fall between a provisional entry's old and new rank, so
-  /// the engine calls this before any push or run_to_key() after a
-  /// finalize_window() — on the shard's own thread as its next window
-  /// opens, or on the coordinator before a global event or a return.
+  /// — queued events and reserved keys — to its exact rank, in place; a
+  /// no-op when already done.  The rewrite maps provisional fields —
+  /// monotone in local push order, and above every real rank — to ranks
+  /// that are monotone in the same order and above every rank the queue
+  /// held before the window, so no pair of queued entries swaps and the
+  /// heap needs no re-sift.  A key pushed before the rewrite could fall
+  /// between a provisional entry's old and new rank, so the engine calls
+  /// this before any push or run_to_key() after a finalize_window() — on
+  /// the shard's own thread as its next window opens, or on the coordinator
+  /// before a global event or a return.
   void apply_ranks();
 
   /// Resolves a rank field recorded during the last finalized window (the
@@ -180,20 +230,49 @@ class Simulator {
   PushKey consume_push_key() { return PushKey{push_rank(), push_seq()}; }
 
  private:
+  static constexpr std::uint64_t kLastKey =
+      std::numeric_limits<std::uint64_t>::max();
+
   template <typename F>
   EventId push(TimeNs at, F&& action) {
+    return push(at, consume_push_key(), std::forward<F>(action));
+  }
+  template <typename F>
+  EventId push(TimeNs at, PushKey key, F&& action) {
     assert(!ranks_pending_);
-    const std::uint64_t rank = push_rank();
-    const EventId id = queue_.push(at, rank, push_seq(), std::forward<F>(action));
-    if (rank >= kProvisionalRankBase) provisional_.push_back(id);
+    const EventId id =
+        queue_.push(at, key.rank, key.seq, std::forward<F>(action));
+    if (key.rank >= kProvisionalRankBase) provisional_.push_back(id);
     return id;
   }
 
+  /// The running event's key, engine-wide (see is_ahead).
+  const OrderKey& running_key() const {
+    return in_event_ || global_ == nullptr ? running_ : global_->running_;
+  }
+
+  /// Marks the simulator as running events for its lifetime.  Cleared on
+  /// unwind too: pushes made after a throwing event (by the caller, between
+  /// runs) must take between-run keys again.
+  class EventScope {
+   public:
+    explicit EventScope(bool& flag) : flag_(flag) { flag_ = true; }
+    ~EventScope() { flag_ = false; }
+    EventScope(const EventScope&) = delete;
+    EventScope& operator=(const EventScope&) = delete;
+
+   private:
+    bool& flag_;
+  };
+
+  /// A shard event is running: pushes take provisional ranks and the
+  /// shard queue's own sequence.
+  bool in_window_event() const { return in_event_ && deferred_ranks_; }
   std::uint64_t push_rank() const {
-    return in_shard_event_ ? exec_rank_field_ : *rank_counter_;
+    return in_window_event() ? exec_rank_field_ : *rank_counter_;
   }
   std::uint64_t push_seq() {
-    if (shared_seq_ != nullptr && !in_shard_event_) return (*shared_seq_)++;
+    if (shared_seq_ != nullptr && !in_window_event()) return (*shared_seq_)++;
     return queue_.take_seq();
   }
 
@@ -205,15 +284,20 @@ class Simulator {
   std::uint64_t* rank_counter_ = &own_rank_counter_;
   std::uint64_t* shared_seq_ = nullptr;
   std::uint64_t keyed_pushes_ = 0;
+  // Running-event tracking (is_ahead): the key of the event running or last
+  // run, or {now, max, max} after a run that was not stopped.
+  bool in_event_ = false;
+  OrderKey running_{};
+  const Simulator* global_ = nullptr;  // engine's global stream (shards only)
 
   // Deferred-rank state (engine-driven shard simulators only).
   bool deferred_ranks_ = false;
-  bool in_shard_event_ = false;
   std::uint64_t exec_rank_field_ = 0;   // provisional rank while executing
   std::uint64_t local_exec_count_ = 0;  // events executed in deferred mode
   std::uint64_t log_base_ = 0;          // local index of window_log_[0]
   std::vector<OrderKey> window_log_;    // keys executed this window
   std::vector<EventId> provisional_;    // provisional pushes to rewrite
+  std::vector<std::uint64_t*> reserved_;  // provisional reserved keys' ranks
   bool ranks_pending_ = false;          // provisional_ awaits apply_ranks()
   std::vector<std::uint64_t> last_ranks_;  // ranks of the last window
   std::uint64_t last_base_ = 0;            // local index of last_ranks_[0]

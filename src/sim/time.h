@@ -8,7 +8,10 @@
 // 40 Gbps link.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace numfabric::sim {
 
@@ -31,10 +34,23 @@ constexpr double to_seconds(TimeNs t) { return static_cast<double>(t) / kSecond;
 constexpr double to_micros(TimeNs t) { return static_cast<double>(t) / kMicrosecond; }
 constexpr double to_millis(TimeNs t) { return static_cast<double>(t) / kMillisecond; }
 
-/// Duration of `bytes` serialized at `rate_bps`, rounded up to a whole ns.
-constexpr TimeNs transmission_time(std::int64_t bytes, double rate_bps) {
-  const double ns = static_cast<double>(bytes) * 8.0 * 1e9 / rate_bps;
-  return static_cast<TimeNs>(ns + 0.5);
+/// A usable link rate: finite and positive.  +inf would serialize in zero
+/// time and NaN never; every link and fabric builder checks its rates here.
+inline bool valid_rate_bps(double rate_bps) {
+  return std::isfinite(rate_bps) && rate_bps > 0;
+}
+
+/// Duration of `bytes` serialized at `rate_bps`, rounded to a whole ns.
+/// Throws std::overflow_error when it does not fit TimeNs (a rate so slow
+/// that one packet outlasts the clock's ~292-year range, or NaN).
+inline TimeNs transmission_time(std::int64_t bytes, double rate_bps) {
+  const double ns = static_cast<double>(bytes) * 8.0 * 1e9 / rate_bps + 0.5;
+  if (!(ns < 0x1p63)) {
+    throw std::overflow_error(
+        "transmission_time: " + std::to_string(bytes) + " B at rate " +
+        std::to_string(rate_bps) + " b/s overflows the nanosecond clock");
+  }
+  return static_cast<TimeNs>(ns);
 }
 
 }  // namespace numfabric::sim

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +18,9 @@
 
 namespace numfabric::net {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(FabricGraphTest, LinkNumberingAndAccessors) {
   FabricGraph graph;
@@ -60,6 +64,8 @@ TEST(FabricGraphTest, CableValidation) {
   EXPECT_THROW(graph.add_cable(a, a, 10e9, 0), std::invalid_argument);
   EXPECT_THROW(graph.add_cable(a, 99, 10e9, 0), std::invalid_argument);
   EXPECT_THROW(graph.add_cable(a, b, 0, 0), std::invalid_argument);
+  EXPECT_THROW(graph.add_cable(a, b, kInf, 0), std::invalid_argument);
+  EXPECT_THROW(graph.add_cable(a, b, kNaN, 0), std::invalid_argument);
   EXPECT_THROW(graph.add_cable(a, b, 10e9, -1), std::invalid_argument);
 }
 
@@ -122,6 +128,21 @@ TEST(FabricGraphTest, BuildLeafSpineViewsAgreeWithTheGraph) {
   // on any multi-leaf leaf-spine.
   EXPECT_EQ(fabric.cross_leaf_rtt, leaf_spine_cross_rtt(options));
   EXPECT_EQ(base_rtt(fabric.graph), fabric.cross_leaf_rtt);
+}
+
+TEST(FabricGraphTest, LeafSpineRejectsInfiniteOrVanishingRates) {
+  for (const double bad : {0.0, -1e9, kInf, kNaN}) {
+    EXPECT_THROW(make_leaf_spine({.host_rate_bps = bad}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(make_leaf_spine({.spine_rate_bps = bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  // Finite and positive, but one packet's serialization outlasts the
+  // nanosecond clock: the base-RTT computation names the overflow.
+  const FabricGraph slow = make_leaf_spine({.host_rate_bps = 1e-6});
+  EXPECT_THROW(base_rtt(slow), std::overflow_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +233,16 @@ TEST(JellyfishTest, RejectsInfeasibleParameters) {
       make_jellyfish({.switches = 8, .ports = 2, .hosts = 4,
                       .host_rate_bps = 0}),
       std::invalid_argument);
+  for (const double bad : {kInf, kNaN}) {
+    EXPECT_THROW(make_jellyfish({.switches = 8, .ports = 2, .hosts = 4,
+                                 .host_rate_bps = bad}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(make_jellyfish({.switches = 8, .ports = 2, .hosts = 4,
+                                 .switch_rate_bps = bad}),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

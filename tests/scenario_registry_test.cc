@@ -312,5 +312,27 @@ TEST(DriverTest, SensitivityRejectsNegativeEta) {
   EXPECT_NE(error.find("eta"), std::string::npos) << error;
 }
 
+// Link rates must be finite and positive.  An infinite host rate used to
+// serialize in zero time and leave a flow incomplete with exit 0; a
+// vanishing one overflowed the nanosecond clock (undefined behavior that
+// surfaced as "negative delay").  Each now fails the run naming the rate.
+TEST(DriverTest, RejectsInfiniteOrVanishingLinkRates) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--scenario=incast", "topology=2x2x1", "fanin=3", "flow_kb=32",
+       "host_gbps=inf"},
+      {"--scenario=incast", "topology=2x2x1", "fanin=3", "flow_kb=32",
+       "host_gbps=1e-15"},
+      {"--scenario=websearch-fct", "topology=2x2x1", "loads=0.3", "flows=40",
+       "horizon_ms=300", "spine_gbps=inf"},
+  };
+  for (const auto& args : cases) {
+    testing::internal::CaptureStderr();
+    const int exit_code = run_cli(args);
+    const std::string error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(exit_code, 1) << args.back();
+    EXPECT_NE(error.find("rate"), std::string::npos) << args.back() << error;
+  }
+}
+
 }  // namespace
 }  // namespace numfabric::app

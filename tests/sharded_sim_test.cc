@@ -3,22 +3,26 @@
 //
 // Unit half: shard-count resolution, leaf-major plan assignment, the
 // passthrough facade, the missing-lookahead guard, run_until clock
-// alignment, exceptions thrown by shard events, and the window handoff over
-// many short legs.
+// alignment, exceptions thrown by shard events, the window handoff over
+// many short legs, per-shard counters that do not depend on how a run is
+// cut into legs, and a global-stream event sending on a shard-owned link at
+// the instant of a reserved serialization finish.
 //
 // Golden half: runs fig4a (`convergence`), one incast sweep, one
-// oversub-fabric sweep and a small 8-leaf permutation serial (--shards=1)
-// and sharded (--shards=2/4/8) and asserts the outputs are byte-identical
-// after stripping the rows that legitimately differ: per-shard perf
-// counters (shard*_ rows exist only when sharded), substrate allocation
-// counters (each shard grows its own event queue and packet pool) and
-// wall-clock cells.  Every behavioral byte —
-// events fired, packets, bytes, FCTs, rates, queue depths — must match.
+// oversub-fabric sweep, a small 8-leaf permutation and a slow-link
+// permutation (reserved serialization finishes outlive their window)
+// serial (--shards=1) and sharded (--shards=2/4/8) and asserts the outputs
+// are byte-identical after stripping the rows that legitimately differ:
+// per-shard perf counters (shard*_ rows exist only when sharded), substrate
+// allocation counters (each shard grows its own event queue and packet
+// pool) and wall-clock cells.  Every behavioral byte — events fired,
+// packets, bytes, FCTs, rates, queue depths — must match.
 // The serial hashes themselves are guarded by golden_determinism_test.cc.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -30,6 +34,9 @@
 #include "app/run_plan.h"
 #include "app/scenario.h"
 #include "app/sweep.h"
+#include "net/drop_tail_queue.h"
+#include "net/link.h"
+#include "net/node.h"
 #include "net/shard_plan.h"
 #include "net/topology.h"
 #include "sim/sharded_simulator.h"
@@ -236,6 +243,140 @@ TEST(ShardedSimulatorTest, ManyShortLegsAlignClocksAndShutDownParked) {
   }
 }
 
+// Host a sends a 1500 B packet every microsecond to host b over a 10 Gb/s
+// link with 5 us of propagation (the lookahead), a on shard 0 and b on
+// shard 1: every transmit start posts a cross-shard message, one every
+// 1.2 us, so a full window posts several.
+struct CrossShardPair {
+  sim::ShardedSimulator engine{2};
+  net::Topology topo{engine.global()};
+  net::ShardRouter router{engine};
+  net::Link* ab = nullptr;
+  int received = 0;
+  std::function<void()> tick;
+
+  CrossShardPair() {
+    engine.set_lookahead(sim::micros(5));
+    net::Host* a = topo.add_host("a");
+    net::Host* b = topo.add_host("b");
+    ab = topo.connect(a, b, 10e9, sim::micros(5), net::drop_tail_factory())
+             .first;
+    net::ShardPlan plan;
+    plan.shards = 2;
+    plan.lookahead = sim::micros(5);
+    plan.node_shard = {{a, 0}, {b, 1}};
+    net::apply_shard_plan(topo, plan, engine, router);
+    b->register_flow(1, [this](net::Packet&&) { ++received; });
+    tick = [this] {
+      net::Packet p;
+      p.type = net::PacketType::kData;
+      p.size = 1500;
+      p.flow = 1;
+      ab->send(std::move(p));
+      engine.shard(0).schedule_in(sim::micros(1), [this] { tick(); });
+    };
+    engine.shard(0).schedule_at(0, [this] { tick(); });
+  }
+};
+
+TEST(ShardedSimulatorTest, PerShardCountersDoNotDependOnRunLegs) {
+  // One run_until(end) and many short legs to the same end execute the same
+  // events; every cross-shard message posted by them has been merged into
+  // shard 1's queue when each run returns, legs or not, and the per-shard
+  // counters must say so.  The messages merged as a run returns once went
+  // uncounted: the single leg's last window (45 us to the end, which is no
+  // window boundary) posts four, a 0.3 us leg at most one.
+  const sim::TimeNs end = sim::micros(49) + 500;
+  CrossShardPair whole;
+  whole.engine.run_until(end);
+  CrossShardPair legs;
+  for (sim::TimeNs t = 300; t < end; t += 300) legs.engine.run_until(t);
+  legs.engine.run_until(end);
+
+  for (int k = 0; k < 2; ++k) {
+    const auto idx = static_cast<std::size_t>(k);
+    EXPECT_EQ(whole.engine.shard_perf()[idx].events,
+              legs.engine.shard_perf()[idx].events)
+        << "shard " << k;
+    EXPECT_EQ(whole.engine.shard_perf()[idx].merged_msgs,
+              legs.engine.shard_perf()[idx].merged_msgs)
+        << "shard " << k;
+  }
+  // One message per transmit start: back to back from t = 0, every 1.2 us,
+  // the last at 49.2 us.
+  EXPECT_EQ(whole.engine.shard_perf()[1].merged_msgs, 42u);
+  EXPECT_EQ(whole.received, legs.received);
+}
+
+// Sink recording which flow arrives, in order.
+class FlowSink : public net::Host {
+ public:
+  explicit FlowSink(sim::Simulator& sim) : Host(0, "sink"), sim_(sim) {}
+  void receive(net::Packet&& packet) override {
+    flows.push_back(packet.flow);
+    times.push_back(sim_.now());
+  }
+  std::vector<net::FlowId> flows;
+  std::vector<sim::TimeNs> times;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+// A shard event E0 sends A (flow 1) on l1 at t = 0, reserving its finish F
+// at 1.2 us.  A global-stream event G at exactly 1.2 us sends B (flow 2) on
+// l1, then C (flow 3) on the idle l2.  G keyed below F (pushed during setup,
+// rank 0): B waits for F, which G pushes, so C's delivery is pushed first.
+// G keyed above F (pushed by a global event at 0.1 us, which ranks after
+// E0): B starts at once.  `link_sim` owns the links and sink; `stream` runs
+// G.  In a serial run both are the same simulator.
+std::vector<net::FlowId> global_send_at_finish(sim::Simulator& link_sim,
+                                               sim::Simulator& stream,
+                                               const std::function<void()>& run,
+                                               bool g_below_finish) {
+  FlowSink sink(link_sim);
+  net::Link l1(link_sim, "l1", 10e9, sim::micros(1),
+               std::make_unique<net::DropTailQueue>(1'000'000), &sink);
+  net::Link l2(link_sim, "l2", 10e9, sim::micros(1),
+               std::make_unique<net::DropTailQueue>(1'000'000), &sink);
+  const auto packet = [](net::FlowId flow) {
+    net::Packet p;
+    p.type = net::PacketType::kData;
+    p.size = 1500;
+    p.flow = flow;
+    return p;
+  };
+  const auto g = [&] {
+    l1.send(packet(2));
+    l2.send(packet(3));
+  };
+  link_sim.schedule_at(0, [&] { l1.send(packet(1)); });
+  if (g_below_finish) {
+    stream.schedule_at(1200, g);
+  } else {
+    stream.schedule_at(100, [&] { stream.schedule_at(1200, g); });
+  }
+  run();
+  EXPECT_EQ(sink.times, (std::vector<sim::TimeNs>{2200, 3400, 3400}));
+  return sink.flows;
+}
+
+TEST(ShardedSimulatorTest, GlobalEventSendsAtReservedFinishInstant) {
+  for (const bool below : {true, false}) {
+    sim::Simulator serial;
+    const auto serial_order = global_send_at_finish(
+        serial, serial, [&serial] { serial.run(); }, below);
+    EXPECT_EQ(serial_order, below ? (std::vector<net::FlowId>{1, 3, 2})
+                                  : (std::vector<net::FlowId>{1, 2, 3}));
+
+    sim::ShardedSimulator engine(2);
+    engine.set_lookahead(sim::micros(1));
+    const auto sharded_order = global_send_at_finish(
+        engine.shard(0), engine.global(), [&engine] { engine.run(); }, below);
+    EXPECT_EQ(sharded_order, serial_order) << "G below F: " << below;
+  }
+}
+
 // --- golden half -----------------------------------------------------------
 
 // Strips the bytes that legitimately differ between serial and sharded runs:
@@ -410,6 +551,36 @@ TEST(ShardedGoldenTest, PermutationWithMoreShardsThanCoresMatchesSerial) {
   const std::string sharded = run_wide_permutation(8);
   EXPECT_EQ(serial, sharded)
       << "permutation output differs between --shards=1 and --shards=8";
+}
+
+std::string run_slow_link_permutation(int shards) {
+  app::register_builtin_scenarios();
+  const app::Scenario* scenario =
+      ScenarioRegistry::global().find("permutation");
+  EXPECT_NE(scenario, nullptr);
+  Options options;
+  options.set("topology", "4x4x2");
+  options.set("host_gbps", "1");
+  options.set("spine_gbps", "2");
+  options.set("core_delay_us", "0.5");
+  options.set("measure_ms", "1");
+  MetricWriter metrics;
+  RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false,
+                 /*solver_threads=*/1, shards};
+  scenario->run(ctx);
+  return normalize(metrics);
+}
+
+TEST(ShardedGoldenTest, SlowLinkPermutationWithReservationsAcrossWindows) {
+  // A 1500 B packet serializes in 12 us on a 1 Gb/s host link against a
+  // 0.5 us lookahead: a finish reserved in one window is pushed, if at all,
+  // many windows later, after its rank has been rewritten.
+  const std::string serial = run_slow_link_permutation(1);
+  for (const int shards : {2, 4}) {
+    EXPECT_EQ(serial, run_slow_link_permutation(shards))
+        << "slow-link permutation differs between --shards=1 and --shards="
+        << shards;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -27,6 +28,17 @@ TEST(TimeTest, TransmissionTimeExact) {
   EXPECT_EQ(transmission_time(1500, 10e9), 1200);
   EXPECT_EQ(transmission_time(1500, 40e9), 300);
   EXPECT_EQ(transmission_time(40, 10e9), 32);
+}
+
+TEST(TimeTest, TransmissionTimeThatOverflowsTheClockThrows) {
+  // 1500 B at 1e-6 b/s is 1.2e22 ns, past TimeNs's ~9.2e18.
+  EXPECT_THROW(transmission_time(1500, 1e-6), std::overflow_error);
+  EXPECT_THROW(transmission_time(1500, std::nan("")), std::overflow_error);
+  EXPECT_EQ(transmission_time(1500, 1.0), 12'000'000'000'000);
+  EXPECT_FALSE(valid_rate_bps(0.0));
+  EXPECT_FALSE(valid_rate_bps(HUGE_VAL));
+  EXPECT_FALSE(valid_rate_bps(std::nan("")));
+  EXPECT_TRUE(valid_rate_bps(1e-6));
 }
 
 TEST(EventQueueTest, OrdersByTime) {
