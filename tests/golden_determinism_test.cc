@@ -237,12 +237,18 @@ TEST(GoldenDeterminismTest, FlowFidelitySweepIsJobCountInvariant) {
 //    fluid oracle), trace replay at both fidelities, and the flow-fidelity
 //    traffic runner in FCT (shuffle) and rate (permutation) mode;
 //  * the DGD and RCP* control laws at packet level, on incast (FCT mode)
-//    and permutation (rate mode) — the only goldens that run those schemes.
+//    and permutation (rate mode) — the only goldens that run those schemes;
+//  * the packet-only leaf-spine runners no sweep golden reaches: the Fig. 7
+//    FCT comparison, Fig. 8 resource pooling (which reads hosts_per_leaf /
+//    leaves / spines, not topology=), background-burst, and rate-timeseries
+//    under DCTCP (the max-min target branch; the scheme comes from the run
+//    context).
 TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
   struct FixedPoint {
     const char* scenario;
     std::vector<std::pair<std::string, std::string>> options;
     const char* golden;
+    transport::Scheme scheme = transport::Scheme::kNumFabric;
   };
   const FixedPoint cases[] = {
       {"websearch-fct",
@@ -269,6 +275,21 @@ TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
       {"permutation",
        {{"transport", "rcp"}, {"flow_kb", "0"}},
        "c2b0b4a7130357f7"},
+      {"fct-vs-pfabric",
+       {{"loads", "0.5"}, {"flows", "40"}},
+       "558e751e533b0222"},
+      {"resource-pooling",
+       {{"hosts_per_leaf", "2"}, {"leaves", "2"}, {"spines", "2"},
+        {"subflows", "1,2"}, {"warmup_ms", "1"}, {"measure_ms", "2"}},
+       "d149e58172db60ea"},
+      {"background-burst",
+       {{"fanin", "2"}, {"bursts", "2"}},
+       "bb7ac223c25a81d0"},
+      {"rate-timeseries",
+       {{"paths", "12"}, {"initial_active", "6"}, {"flows_per_event", "2"},
+        {"min_active", "4"}, {"max_active", "8"}, {"events", "2"}},
+       "288ece2f27d99b61",
+       transport::Scheme::kDctcp},
   };
   register_builtin_scenarios();
   for (const FixedPoint& point : cases) {
@@ -279,7 +300,7 @@ TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
     options.set("incremental", "off");
     for (const auto& [key, value] : point.options) options.set(key, value);
     MetricWriter metrics;
-    RunContext ctx{options, transport::Scheme::kNumFabric, metrics, false};
+    RunContext ctx{options, point.scheme, metrics, false};
     const PerfSnapshot snapshot;
     scenario->run(ctx);
     record_perf(metrics, snapshot.delta());
@@ -287,6 +308,7 @@ TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
     EXPECT_EQ(fnv1a_hex(csv), point.golden)
         << point.scenario << " fidelity=" << options.get("fidelity", "")
         << " transport=" << options.get("transport", "")
+        << " scheme=" << transport::scheme_name(point.scheme)
         << " output changed. If intentional, update its golden.\n"
         << "--- normalized CSV (first 2000 chars) ---\n"
         << csv.substr(0, 2000);
