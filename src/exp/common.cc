@@ -8,35 +8,16 @@
 
 namespace numfabric::exp {
 
-namespace {
-
-void install_shard_plan(ShardSetup& setup, sim::ShardedSimulator& engine,
-                        net::Topology& topo, transport::Fabric& fabric) {
-  engine.set_lookahead(setup.plan.lookahead);
-  setup.router = std::make_unique<net::ShardRouter>(engine);
-  net::apply_shard_plan(topo, setup.plan, engine, *setup.router);
-  fabric.set_sharding(&setup.plan, &engine);
-}
-
-}  // namespace
-
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const net::LeafSpine& leaf_spine,
-                    const net::LeafSpineOptions& topology) {
-  if (!engine.sharded()) return;
-  setup.plan =
-      net::build_leaf_shard_plan(leaf_spine, topology, engine.num_shards());
-  install_shard_plan(setup, engine, topo, fabric);
-}
-
 void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
                     net::Topology& topo, transport::Fabric& fabric,
                     const BuiltFabric& built) {
   if (!engine.sharded()) return;
   setup.plan =
       net::build_shard_plan(built.graph, built.mat, engine.num_shards());
-  install_shard_plan(setup, engine, topo, fabric);
+  engine.set_lookahead(setup.plan.lookahead);
+  setup.router = std::make_unique<net::ShardRouter>(engine);
+  net::apply_shard_plan(topo, setup.plan, engine, *setup.router);
+  fabric.set_sharding(&setup.plan, &engine);
 }
 
 BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
@@ -111,40 +92,9 @@ std::vector<double> graph_capacities(const net::FabricGraph& graph) {
 }
 
 LinkIndexer::LinkIndexer(const net::Topology& topo) {
-  int next = 0;
   for (const auto& link : topo.links()) {
-    index_[link.get()] = next++;
     capacities_.push_back(num::to_rate_units(link->rate_bps()));
   }
-}
-
-int LinkIndexer::index(const net::Link* link) const {
-  auto it = index_.find(link);
-  if (it == index_.end()) throw std::invalid_argument("LinkIndexer: unknown link");
-  return it->second;
-}
-
-std::vector<int> LinkIndexer::path_indices(const net::Path& path) const {
-  std::vector<int> out;
-  out.reserve(path.links.size());
-  for (const net::Link* link : path.links) out.push_back(index(link));
-  return out;
-}
-
-num::NumProblem make_num_problem(
-    const LinkIndexer& indexer, const std::vector<const transport::Flow*>& flows) {
-  num::NumProblem problem;
-  problem.capacities = indexer.capacities();
-  problem.utilities.reserve(flows.size());
-  problem.flow_links.reserve(flows.size());
-  for (const transport::Flow* flow : flows) {
-    if (flow->spec().utility == nullptr) {
-      throw std::invalid_argument("make_num_problem: flow without utility");
-    }
-    problem.utilities.push_back(flow->spec().utility);
-    problem.flow_links.push_back(indexer.path_indices(flow->spec().path));
-  }
-  return problem;
 }
 
 double window_rate_bps(std::uint64_t start_bytes, std::uint64_t end_bytes,

@@ -1,5 +1,6 @@
-// Shared experiment plumbing: link indexing for oracle problems, throughput
-// measurement windows, and the quick/full scale switch.
+// Shared experiment plumbing: the evaluation fabric and its path sets, link
+// capacities for oracle problems, throughput measurement windows, and the
+// quick/full scale switch.
 #pragma once
 
 #include <cstdint>
@@ -13,11 +14,9 @@
 
 #include "net/shard_plan.h"
 #include "net/topology.h"
-#include "num/num_solver.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "transport/fabric.h"
-#include "transport/flow.h"
 
 namespace numfabric::exp {
 
@@ -30,21 +29,11 @@ struct ShardSetup {
   std::unique_ptr<net::ShardRouter> router;
 };
 
-/// When `engine` is sharded: builds the leaf-major shard plan, sets the
-/// engine's lookahead to the core-link delay, rebinds every link onto its
-/// shard, and switches the fabric to sharded endpoint placement.  Serial
-/// engines are left untouched.  Call after attach_agents and before any
-/// flow is added.
-void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
-                    net::Topology& topo, transport::Fabric& fabric,
-                    const net::LeafSpine& leaf_spine,
-                    const net::LeafSpineOptions& topology);
-
 /// One evaluation fabric — leaf-spine or jellyfish — as every experiment
 /// runner consumes it: the FabricGraph plus, after materialize_fabric(), the
 /// object view.  Paths are computed on the graph (link ids double as dense
-/// LinkIndexer indices), so the packet and flow engines select identical
-/// routes.
+/// Topology::links() indices), so the packet and flow engines select
+/// identical routes.
 struct BuiltFabric {
   net::FabricGraph graph;
   net::MaterializedFabric mat;
@@ -66,6 +55,8 @@ struct BuiltFabric {
 
 /// Builds the graph + metadata for either fabric kind.  No Topology needed
 /// yet — callers size the shard engine off the plan before materializing.
+/// `k_paths` sizes jellyfish path tables only; leaf-spine pairs always get
+/// their complete shortest-path set.
 BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
                         const std::optional<net::JellyfishOptions>& jellyfish,
                         int k_paths);
@@ -91,35 +82,29 @@ net::Path to_packet_path(const BuiltFabric& fabric,
 /// equal to LinkIndexer::capacities() for the materialized topology.
 std::vector<double> graph_capacities(const net::FabricGraph& graph);
 
-/// Graph-view sharding: same contract as the LeafSpine overload, but the
-/// plan is derived from graph structure.  Throws std::invalid_argument with
-/// the shard-partition obstacle when the engine is sharded and the graph
-/// has no leaf/spine cut (jellyfish).
+/// When `engine` is sharded: derives the leaf-major shard plan from the
+/// graph, sets the engine's lookahead to the core-link delay, rebinds every
+/// link onto its shard, and switches the fabric to sharded endpoint
+/// placement.  Serial engines are left untouched.  Call after attach_agents
+/// and before any flow is added.  Throws std::invalid_argument with the
+/// shard-partition obstacle when the engine is sharded and the graph has no
+/// leaf/spine cut (jellyfish).
 void apply_sharding(ShardSetup& setup, sim::ShardedSimulator& engine,
                     net::Topology& topo, transport::Fabric& fabric,
                     const BuiltFabric& built);
 
-/// Maps every link of a topology to a dense index and exposes capacities in
-/// NUM rate units — the glue between the packet world and the fluid oracles.
+/// Per-link capacities of a materialized topology in NUM rate units (Mbps),
+/// in Topology::links() order — equal to graph_capacities() of the graph it
+/// was materialized from.
 class LinkIndexer {
  public:
   explicit LinkIndexer(const net::Topology& topo);
 
-  int index(const net::Link* link) const;
-  std::vector<int> path_indices(const net::Path& path) const;
-
-  /// Per-link capacity in rate units (Mbps), same order as the indices.
   const std::vector<double>& capacities() const { return capacities_; }
 
  private:
-  std::unordered_map<const net::Link*, int> index_;
   std::vector<double> capacities_;
 };
-
-/// Builds the NUM problem for a set of active flows (shared utility objects
-/// live in the caller).
-num::NumProblem make_num_problem(const LinkIndexer& indexer,
-                                 const std::vector<const transport::Flow*>& flows);
 
 /// Average goodput of a flow (receiver bytes delta / window), in bps.
 /// Snapshot `start` with flow.receiver().total_bytes() at window start.

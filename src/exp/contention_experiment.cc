@@ -6,11 +6,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "exp/common.h"
-#include "net/routing.h"
+#include "exp/flow_plan.h"
 #include "num/utility.h"
 #include "sim/random.h"
 #include "stats/summary.h"
@@ -21,13 +23,32 @@
 namespace numfabric::exp {
 namespace {
 
-net::LeafSpine build_fabric(net::Topology& topo, transport::Fabric& fabric,
-                            const net::LeafSpineOptions& topology,
-                            std::size_t core_buffer_bytes) {
+BuiltFabric build_fabric(net::Topology& topo, transport::Fabric& fabric,
+                         const net::LeafSpineOptions& topology,
+                         std::size_t core_buffer_bytes) {
+  BuiltFabric built = plan_fabric(topology, std::nullopt, 0);
   // queue_factory(0) falls back to the scheme's edge capacity, so an unset
   // core buffer just mirrors the edge tier.
-  return net::build_leaf_spine(topo, topology, fabric.queue_factory(),
-                               fabric.queue_factory(core_buffer_bytes));
+  materialize_fabric(built, topo, fabric.queue_factory(),
+                     fabric.queue_factory(core_buffer_bytes));
+  return built;
+}
+
+/// Every switch-to-switch link, both directions, in graph link order (per
+/// leaf, uplink before downlink) — the contended tier.
+std::vector<net::Link*> core_links(const BuiltFabric& built) {
+  const net::FabricGraph& graph = built.graph;
+  const auto is_switch = [&graph](int node) {
+    return graph.nodes()[static_cast<std::size_t>(node)].kind ==
+           net::GraphNodeKind::kSwitch;
+  };
+  std::vector<net::Link*> links;
+  for (int link = 0; link < graph.num_links(); ++link) {
+    if (is_switch(graph.link_src(link)) && is_switch(graph.link_dst(link))) {
+      links.push_back(built.mat.links[static_cast<std::size_t>(link)]);
+    }
+  }
+  return links;
 }
 
 /// Watches the core tier's xWI prices for stability: converged at the start
@@ -113,15 +134,25 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
   net::Topology topo(sim);
-  const net::LeafSpine leaf_spine =
+  BuiltFabric built =
       build_fabric(topo, fabric, options.topology, options.core_buffer_bytes);
   fabric.attach_agents(topo);
   ShardSetup sharding;
-  apply_sharding(sharding, engine, topo, fabric, leaf_spine, options.topology);
+  apply_sharding(sharding, engine, topo, fabric, built);
+  const std::vector<net::Link*> core = core_links(built);
 
+  // Background flows first, then the wave: plan index i is fabric flow i + 1.
   sim::Rng rng(options.seed);
-  const auto background_pairs = workload::permutation_pairs(leaf_spine.hosts, rng);
-  const auto shuffle_pairs = workload::all_to_all_pairs(leaf_spine.hosts);
+  const auto background_pairs =
+      workload::permutation_pairs(built.mat.hosts, rng);
+  FlowPlan plan;
+  for (const auto& pair : background_pairs) {
+    plan.add_flow(built, pair.src, pair.dst, 0, 0);
+  }
+  for (const auto& pair : workload::all_to_all_pairs(built.mat.hosts)) {
+    plan.add_flow(built, pair.src, pair.dst, options.warmup,
+                  options.shuffle_flow_bytes);
+  }
 
   const num::AlphaFairUtility utility(options.alpha);
   // Background flows are long-running and never complete, so this counts
@@ -132,44 +163,27 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
     wave_done.fetch_add(1, std::memory_order_relaxed);
   });
 
-  net::FlowId flow_index = 1;
-  const auto launch = [&](const workload::HostPair& pair,
-                          std::uint64_t size_bytes, sim::TimeNs start) {
-    transport::FlowSpec spec;
-    spec.src = pair.src;
-    spec.dst = pair.dst;
-    spec.size_bytes = size_bytes;
-    spec.start_time = start;
-    spec.utility = &utility;
-    const auto paths = net::all_shortest_paths(topo, pair.src, pair.dst);
-    spec.path = net::ecmp_pick(paths, flow_index++);
-    return fabric.add_flow(std::move(spec));
-  };
-
-  std::vector<const transport::Flow*> background;
-  background.reserve(background_pairs.size());
-  for (const auto& pair : background_pairs) {
-    background.push_back(launch(pair, 0, 0));
+  std::vector<const transport::Flow*> flows;
+  flows.reserve(plan.flows.size());
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
+    flows.push_back(fabric.add_flow(plan.packet_spec(built, i, &utility)));
   }
-  std::vector<const transport::Flow*> wave;
-  wave.reserve(shuffle_pairs.size());
-  for (const auto& pair : shuffle_pairs) {
-    wave.push_back(launch(pair, options.shuffle_flow_bytes, options.warmup));
-  }
+  const std::span<const transport::Flow* const> all(flows);
+  const auto background = all.first(background_pairs.size());
+  const auto wave = all.subspan(background_pairs.size());
 
   // Snapshots bounding the measurement window [warmup, warmup + measure].
   std::vector<std::uint64_t> background_start(background.size(), 0);
   std::vector<std::uint64_t> background_end(background.size(), 0);
-  std::vector<std::uint64_t> core_start(leaf_spine.core_links.size(), 0);
-  std::vector<std::uint64_t> core_end(leaf_spine.core_links.size(), 0);
-  PriceTracker tracker(fabric, leaf_spine.core_links,
-                       options.price);
+  std::vector<std::uint64_t> core_start(core.size(), 0);
+  std::vector<std::uint64_t> core_end(core.size(), 0);
+  PriceTracker tracker(fabric, core, options.price);
   sim.schedule_at(options.warmup, [&] {
     for (std::size_t i = 0; i < background.size(); ++i) {
       background_start[i] = background[i]->receiver().total_bytes();
     }
-    for (std::size_t i = 0; i < leaf_spine.core_links.size(); ++i) {
-      core_start[i] = leaf_spine.core_links[i]->bytes_sent();
+    for (std::size_t i = 0; i < core.size(); ++i) {
+      core_start[i] = core[i]->bytes_sent();
     }
     tracker.baseline();
   });
@@ -178,8 +192,8 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
     for (std::size_t i = 0; i < background.size(); ++i) {
       background_end[i] = background[i]->receiver().total_bytes();
     }
-    for (std::size_t i = 0; i < leaf_spine.core_links.size(); ++i) {
-      core_end[i] = leaf_spine.core_links[i]->bytes_sent();
+    for (std::size_t i = 0; i < core.size(); ++i) {
+      core_end[i] = core[i]->bytes_sent();
     }
   });
 
@@ -232,8 +246,8 @@ OversubFabricResult run_oversub_fabric(const OversubFabricOptions& options) {
 
   const double window_seconds = sim::to_seconds(options.measure);
   result.core_util_min = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < leaf_spine.core_links.size(); ++i) {
-    const net::Link* link = leaf_spine.core_links[i];
+  for (std::size_t i = 0; i < core.size(); ++i) {
+    const net::Link* link = core[i];
     CoreLinkStats row;
     row.name = link->name();
     row.utilization = static_cast<double>(core_end[i] - core_start[i]) * 8.0 /
@@ -292,17 +306,35 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
   fabric_options.scheme = options.scheme;
   transport::Fabric fabric(sim, fabric_options);
   net::Topology topo(sim);
-  const net::LeafSpine leaf_spine =
+  BuiltFabric built =
       build_fabric(topo, fabric, options.topology, options.core_buffer_bytes);
   fabric.attach_agents(topo);
   ShardSetup sharding;
-  apply_sharding(sharding, engine, topo, fabric, leaf_spine, options.topology);
+  apply_sharding(sharding, engine, topo, fabric, built);
 
   sim::Rng rng(options.seed);
-  auto background_pairs = workload::permutation_pairs(leaf_spine.hosts, rng);
+  auto background_pairs = workload::permutation_pairs(built.mat.hosts, rng);
   const std::size_t keep = static_cast<std::size_t>(std::llround(
       options.background_load * static_cast<double>(background_pairs.size())));
   background_pairs.resize(std::min(keep, background_pairs.size()));
+
+  // Background flows first, then each burst's flows: plan index i is fabric
+  // flow i + 1.
+  FlowPlan plan;
+  for (const auto& pair : background_pairs) {
+    plan.add_flow(built, pair.src, pair.dst, 0, 0);
+  }
+  // Plan index of each burst's first flow, then one past the last burst's.
+  std::vector<std::size_t> burst_begin;
+  for (int k = 0; k < options.num_bursts; ++k) {
+    burst_begin.push_back(plan.flows.size());
+    const sim::TimeNs start = options.warmup + k * options.burst_interval;
+    for (const auto& pair :
+         workload::incast_pairs(built.mat.hosts, options.burst_fanin, rng)) {
+      plan.add_flow(built, pair.src, pair.dst, start, options.burst_bytes);
+    }
+  }
+  burst_begin.push_back(plan.flows.size());
 
   const num::AlphaFairUtility utility(options.alpha);
   // Burst completions fire on shard workers; the coordinator polls the count.
@@ -311,38 +343,17 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
     burst_done.fetch_add(1, std::memory_order_relaxed);
   });
 
-  net::FlowId flow_index = 1;
-  const auto launch = [&](const workload::HostPair& pair,
-                          std::uint64_t size_bytes, sim::TimeNs start) {
-    transport::FlowSpec spec;
-    spec.src = pair.src;
-    spec.dst = pair.dst;
-    spec.size_bytes = size_bytes;
-    spec.start_time = start;
-    spec.utility = &utility;
-    const auto paths = net::all_shortest_paths(topo, pair.src, pair.dst);
-    spec.path = net::ecmp_pick(paths, flow_index++);
-    return fabric.add_flow(std::move(spec));
-  };
-
-  std::vector<const transport::Flow*> background;
-  background.reserve(background_pairs.size());
-  for (const auto& pair : background_pairs) {
-    background.push_back(launch(pair, 0, 0));
+  std::vector<const transport::Flow*> flows;
+  flows.reserve(plan.flows.size());
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
+    flows.push_back(fabric.add_flow(plan.packet_spec(built, i, &utility)));
   }
-
-  std::vector<std::vector<const transport::Flow*>> bursts;
-  bursts.reserve(static_cast<std::size_t>(options.num_bursts));
-  for (int k = 0; k < options.num_bursts; ++k) {
-    const sim::TimeNs start = options.warmup + k * options.burst_interval;
-    const auto pairs =
-        workload::incast_pairs(leaf_spine.hosts, options.burst_fanin, rng);
-    std::vector<const transport::Flow*> flows;
-    flows.reserve(pairs.size());
-    for (const auto& pair : pairs) {
-      flows.push_back(launch(pair, options.burst_bytes, start));
-    }
-    bursts.push_back(std::move(flows));
+  const std::span<const transport::Flow* const> all(flows);
+  const auto background = all.first(background_pairs.size());
+  std::vector<std::span<const transport::Flow* const>> bursts;
+  for (std::size_t k = 0; k + 1 < burst_begin.size(); ++k) {
+    bursts.push_back(
+        all.subspan(burst_begin[k], burst_begin[k + 1] - burst_begin[k]));
   }
 
   // Background byte totals sampled at the interference window boundaries:
@@ -377,8 +388,7 @@ BackgroundBurstResult run_background_burst(const BackgroundBurstOptions& options
     });
   }
 
-  int burst_total = 0;
-  for (const auto& flows : bursts) burst_total += static_cast<int>(flows.size());
+  const int burst_total = static_cast<int>(all.size() - background.size());
   while ((burst_done.load(std::memory_order_relaxed) < burst_total ||
           engine.now() < background_end_time) &&
          engine.now() < options.horizon && engine.pending()) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
-#include "net/routing.h"
+#include "exp/common.h"
+#include "exp/dynamic_workload.h"
+#include "exp/flow_plan.h"
 #include "num/utility.h"
 #include "stats/summary.h"
-#include "workload/scenarios.h"
 
 namespace numfabric::exp {
 namespace {
@@ -51,40 +53,32 @@ SchemeOutcome run_one(transport::Scheme scheme,
   }
   transport::Fabric fabric(sim, fabric_options);
   net::Topology topo(sim);
-  const net::LeafSpine leaf_spine =
-      net::build_leaf_spine(topo, options.topology, fabric.queue_factory());
+  BuiltFabric built = plan_fabric(options.topology, std::nullopt, 0);
+  materialize_fabric(built, topo, fabric.queue_factory());
   fabric.attach_agents(topo);
 
-  // Same seed for both schemes => identical arrivals, sizes and pairs.
-  sim::Rng rng(options.seed);
-  const auto arrivals = workload::poisson_flows(
-      leaf_spine.hosts, options.topology.host_rate_bps, load,
-      workload::websearch_distribution(), options.flow_count, rng);
+  // Same seed for both schemes => identical arrivals, sizes and paths.
+  DynamicWorkloadOptions workload;
+  workload.load = load;
+  workload.flow_count = options.flow_count;
+  workload.seed = options.seed;
+  const FlowPlan plan = plan_poisson(built, workload);
 
   std::vector<std::unique_ptr<num::AlphaFairUtility>> utilities;
-  utilities.reserve(arrivals.size());
+  utilities.reserve(plan.flows.size());
   std::vector<const transport::Flow*> flows;
-  flows.reserve(arrivals.size());
+  flows.reserve(plan.flows.size());
   int completed = 0;
   fabric.set_on_complete([&completed](transport::Flow&) { ++completed; });
 
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto& arrival = arrivals[i];
-    transport::FlowSpec spec;
-    spec.src = arrival.pair.src;
-    spec.dst = arrival.pair.dst;
-    spec.size_bytes = arrival.size_bytes;
-    spec.start_time = arrival.arrival;
+  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
     utilities.push_back(num::make_fct_utility(
-        static_cast<double>(arrival.size_bytes), options.epsilon));
-    spec.utility = utilities.back().get();
-    const auto paths =
-        net::all_shortest_paths(topo, arrival.pair.src, arrival.pair.dst);
-    spec.path = net::ecmp_pick(paths, static_cast<net::FlowId>(i + 1));
-    flows.push_back(fabric.add_flow(std::move(spec)));
+        static_cast<double>(plan.flows[i].size_bytes), options.epsilon));
+    flows.push_back(fabric.add_flow(
+        plan.packet_spec(built, i, utilities.back().get())));
   }
 
-  while (completed < static_cast<int>(arrivals.size()) &&
+  while (completed < static_cast<int>(flows.size()) &&
          sim.now() < options.horizon && sim.pending()) {
     sim.run_until(std::min(sim.now() + sim::millis(5), options.horizon));
   }
@@ -97,8 +91,7 @@ SchemeOutcome run_one(transport::Scheme scheme,
       continue;
     }
     const double ideal = ideal_fct_seconds(flow->spec().size_bytes,
-                                           options.topology.host_rate_bps,
-                                           leaf_spine.cross_leaf_rtt);
+                                           built.host_rate_bps, built.base_rtt);
     normalized.push_back(sim::to_seconds(flow->fct()) / ideal);
   }
   outcome.completed = static_cast<int>(normalized.size());

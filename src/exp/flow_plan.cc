@@ -8,20 +8,15 @@
 #include "workload/scenarios.h"
 
 namespace numfabric::exp {
-namespace {
 
-// Appends one flow on its ECMP path.  The i-th flow hashes flow id i + 1,
-// the id the packet fabric assigns the i-th flow it adds.
-void add_flow(FlowPlan& plan, BuiltFabric& fabric, net::Host* src,
-              net::Host* dst, sim::TimeNs arrival, std::uint64_t size_bytes) {
+void FlowPlan::add_flow(BuiltFabric& fabric, net::Host* src, net::Host* dst,
+                        sim::TimeNs arrival, std::uint64_t size_bytes) {
   const auto& paths = pair_paths(fabric, fabric.host_node.at(src),
                                  fabric.host_node.at(dst));
-  const auto id = static_cast<net::FlowId>(plan.flows.size() + 1);
-  plan.flows.push_back({src, dst, arrival, size_bytes,
-                        paths[net::ecmp_index(paths.size(), id)]});
+  const auto id = static_cast<net::FlowId>(flows.size() + 1);
+  flows.push_back({src, dst, arrival, size_bytes,
+                   paths[net::ecmp_index(paths.size(), id)]});
 }
-
-}  // namespace
 
 transport::FlowSpec FlowPlan::packet_spec(
     const BuiltFabric& fabric, std::size_t i,
@@ -58,8 +53,8 @@ FlowPlan plan_poisson(BuiltFabric& fabric,
   FlowPlan plan;
   plan.flows.reserve(arrivals.size());
   for (const auto& arrival : arrivals) {
-    add_flow(plan, fabric, arrival.pair.src, arrival.pair.dst, arrival.arrival,
-             arrival.size_bytes);
+    plan.add_flow(fabric, arrival.pair.src, arrival.pair.dst, arrival.arrival,
+                  arrival.size_bytes);
   }
   return plan;
 }
@@ -82,7 +77,7 @@ FlowPlan plan_traffic(BuiltFabric& fabric, const TrafficOptions& options) {
   FlowPlan plan;
   plan.flows.reserve(pairs.size());
   for (const workload::HostPair& pair : pairs) {
-    add_flow(plan, fabric, pair.src, pair.dst, 0, options.flow_size_bytes);
+    plan.add_flow(fabric, pair.src, pair.dst, 0, options.flow_size_bytes);
   }
   return plan;
 }
@@ -104,9 +99,9 @@ FlowPlan plan_trace(BuiltFabric& fabric,
     }
     const auto arrival =
         static_cast<sim::TimeNs>(entry.arrival_seconds * sim::kSecond + 0.5);
-    add_flow(plan, fabric, hosts[static_cast<std::size_t>(entry.src)],
-             hosts[static_cast<std::size_t>(entry.dst)], arrival,
-             entry.size_bytes);
+    plan.add_flow(fabric, hosts[static_cast<std::size_t>(entry.src)],
+                  hosts[static_cast<std::size_t>(entry.dst)], arrival,
+                  entry.size_bytes);
   }
   return plan;
 }

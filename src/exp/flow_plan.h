@@ -7,7 +7,9 @@
 // packet runner turns the plan into transport::FlowSpecs; the flow runner
 // and the fluid oracle turn the same plan into flowsim::FlowSimFlows.  Flow
 // i is therefore the same flow on the same path at either fidelity by
-// construction.
+// construction.  Packet-only runners that number their flows 1..n the same
+// way (Fig. 7's FCT comparison, the contended-fabric family) build their
+// plans with add_flow too.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +36,11 @@ struct FlowPlan {
     std::vector<int> links;
   };
   std::vector<Flow> flows;
+
+  /// Appends one flow on its ECMP path.  Flow i hashes flow id i + 1, the id
+  /// the packet fabric assigns the i-th flow it adds.
+  void add_flow(BuiltFabric& fabric, net::Host* src, net::Host* dst,
+                sim::TimeNs arrival, std::uint64_t size_bytes);
 
   /// Flow i for the packet substrate (object path via to_packet_path).
   transport::FlowSpec packet_spec(const BuiltFabric& fabric, std::size_t i,

@@ -1,10 +1,9 @@
 #include "exp/pooling_experiment.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "exp/common.h"
-#include "net/routing.h"
 #include "num/utility.h"
 #include "transport/receiver.h"
 #include "workload/scenarios.h"
@@ -19,28 +18,29 @@ PoolingResult::Row run_one(int subflows, const PoolingOptions& options) {
   fabric_options.numfabric.resource_pooling = options.resource_pooling;
   transport::Fabric fabric(sim, fabric_options);
   net::Topology topo(sim);
-  const net::LeafSpine leaf_spine =
-      net::build_leaf_spine(topo, options.topology, fabric.queue_factory());
+  BuiltFabric built = plan_fabric(options.topology, std::nullopt, 0);
+  materialize_fabric(built, topo, fabric.queue_factory());
   fabric.attach_agents(topo);
 
   sim::Rng rng(options.seed);
-  const auto pairs = workload::permutation_pairs(leaf_spine.hosts, rng);
+  const auto pairs = workload::permutation_pairs(built.mat.hosts, rng);
   const num::AlphaFairUtility utility(1.0);  // proportional fairness
 
   // Per logical flow: k sub-flows on independently drawn random paths
   // ("each sub-flow hashed onto a path at random").
   std::vector<std::vector<const transport::Flow*>> flows_by_pair(pairs.size());
   for (std::size_t pair_index = 0; pair_index < pairs.size(); ++pair_index) {
-    const auto paths = net::all_shortest_paths(topo, pairs[pair_index].src,
-                                               pairs[pair_index].dst);
+    const workload::HostPair& pair = pairs[pair_index];
+    const auto& paths = pair_paths(built, built.host_node.at(pair.src),
+                                   built.host_node.at(pair.dst));
     for (int s = 0; s < subflows; ++s) {
       transport::FlowSpec spec;
-      spec.src = pairs[pair_index].src;
-      spec.dst = pairs[pair_index].dst;
+      spec.src = pair.src;
+      spec.dst = pair.dst;
       spec.size_bytes = 0;  // long-running
       spec.start_time = 0;
       spec.utility = &utility;
-      spec.path = paths[rng.index(paths.size())];
+      spec.path = to_packet_path(built, paths[rng.index(paths.size())]);
       spec.group = options.resource_pooling ? pair_index + 1 : 0;
       flows_by_pair[pair_index].push_back(fabric.add_flow(std::move(spec)));
     }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "exp/common.h"
 #include "net/routing.h"
@@ -20,11 +22,11 @@ namespace {
 
 using transport::Flow;
 
-/// One random host pair with a fixed ECMP-chosen route; flows started on the
-/// slot are long-running until a stop event hits them.
+/// One random host pair with a fixed ECMP-chosen route (graph link ids);
+/// flows started on the slot are long-running until a stop event hits them.
 struct PathSlot {
   workload::HostPair pair;
-  net::Path path;
+  std::vector<int> links;
   Flow* flow = nullptr;  // active flow, if any
 };
 
@@ -70,8 +72,8 @@ class Driver {
   sim::Rng rng_;
   num::AlphaFairUtility utility_;
 
-  net::LeafSpine leaf_spine_;
-  std::unique_ptr<LinkIndexer> indexer_;
+  BuiltFabric built_;
+  std::vector<double> capacities_;  // graph link order, NUM rate units
   std::vector<PathSlot> slots_;
   std::vector<std::size_t> active_;    // slot indices
   std::vector<std::size_t> inactive_;  // slot indices
@@ -90,23 +92,22 @@ class Driver {
 };
 
 void Driver::build_network() {
-  leaf_spine_ = net::build_leaf_spine(topo_, options_.topology,
-                                      fabric_.queue_factory());
+  built_ = plan_fabric(options_.topology, std::nullopt, 0);
+  materialize_fabric(built_, topo_, fabric_.queue_factory());
   fabric_.attach_agents(topo_);
-  apply_sharding(sharding_, engine_, topo_, fabric_, leaf_spine_,
-                 options_.topology);
-  indexer_ = std::make_unique<LinkIndexer>(topo_);
+  apply_sharding(sharding_, engine_, topo_, fabric_, built_);
+  capacities_ = graph_capacities(built_.graph);
 
   const auto pairs =
-      workload::random_pairs(leaf_spine_.hosts, options_.num_paths, rng_);
+      workload::random_pairs(built_.mat.hosts, options_.num_paths, rng_);
   slots_.reserve(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    PathSlot slot;
-    slot.pair = pairs[i];
-    const auto paths = net::all_shortest_paths(topo_, pairs[i].src, pairs[i].dst);
-    if (paths.empty()) throw std::logic_error("semi-dynamic: no path");
-    slot.path = net::ecmp_pick(paths, static_cast<net::FlowId>(i));
-    slots_.push_back(std::move(slot));
+    const auto& paths = pair_paths(built_, built_.host_node.at(pairs[i].src),
+                                   built_.host_node.at(pairs[i].dst));
+    // Slot i hashes ECMP id i, 0-based unlike FlowPlan's i + 1: the
+    // convergence golden pins these picks.
+    const auto id = static_cast<net::FlowId>(i);
+    slots_.push_back({pairs[i], paths[net::ecmp_index(paths.size(), id)]});
   }
 
   // Initial active set: the first `initial_active` slots of a random
@@ -131,7 +132,7 @@ void Driver::start_slot(std::size_t slot_index) {
   spec.size_bytes = 0;  // long-running
   spec.start_time = sim_.now();
   spec.utility = &utility_;
-  spec.path = slot.path;
+  spec.path = to_packet_path(built_, slot.links);
   slot.flow = fabric_.add_flow(std::move(spec));
   active_.push_back(slot_index);
 }
@@ -153,18 +154,20 @@ std::vector<const Flow*> Driver::active_flows() const {
 }
 
 std::vector<double> Driver::oracle_targets_bps() {
-  const auto flows = active_flows();
-  std::vector<double> targets(flows.size());
+  std::vector<std::vector<int>> flow_links;
+  flow_links.reserve(active_.size());
+  for (std::size_t slot_index : active_) {
+    flow_links.push_back(slots_[slot_index].links);
+  }
+  std::vector<double> targets(active_.size());
   if (options_.use_maxmin_targets) {
     // Expected allocation for DCTCP-style fairness: plain (weight-1) max-min.
     num::WaterfillProblem problem;
-    problem.capacities = indexer_->capacities();
-    problem.weights.assign(flows.size(), 1.0);
-    for (const Flow* flow : flows) {
-      problem.flow_links.push_back(indexer_->path_indices(flow->spec().path));
-    }
+    problem.capacities = capacities_;
+    problem.weights.assign(active_.size(), 1.0);
+    problem.flow_links = std::move(flow_links);
     const auto allocation = num::weighted_max_min(problem);
-    for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
       targets[i] = num::to_bps(allocation.rates[i]);
     }
     return targets;
@@ -173,7 +176,10 @@ std::vector<double> Driver::oracle_targets_bps() {
   // active order (the legacy summation order — keeps the convergence golden
   // hash stable); the workspace and the explicit warm prices persist across
   // events, making each re-solve warm and allocation-free.
-  const num::NumProblem problem = make_num_problem(*indexer_, flows);
+  num::NumProblem problem;
+  problem.capacities = capacities_;
+  problem.utilities.assign(active_.size(), &utility_);
+  problem.flow_links = std::move(flow_links);
   const num::CsrProblem csr = num::CsrProblem::compile(problem);
   num::NumSolverOptions solver_options;
   solver_options.tolerance = 1e-10;
@@ -182,7 +188,7 @@ std::vector<double> Driver::oracle_targets_bps() {
   num::solve(csr, solver_workspace_, solver_options);
   warm_prices_.assign(solver_workspace_.prices().begin(),
                       solver_workspace_.prices().end());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     targets[i] = num::to_bps(solver_workspace_.rates()[i]);
   }
   return targets;
@@ -271,8 +277,8 @@ void Driver::apply_event() {
       start_slot(slot_index);
     }
   } else {
-    for (int k = 0; k < batch; ++k) {
-      // Stop a random active slot, never the traced one.
+    // Stop random active slots, never the traced one (which stays active).
+    for (int k = 0; k < batch && active_.size() > 1; ++k) {
       std::size_t pick = rng_.index(active_.size());
       if (active_[pick] == tracked_slot_) pick = (pick + 1) % active_.size();
       stop_slot(active_[pick]);
@@ -313,6 +319,19 @@ SemiDynamicResult Driver::run() {
 }  // namespace
 
 SemiDynamicResult run_semi_dynamic(const SemiDynamicOptions& options) {
+  // Each message names the scenario key that carries the bad value.
+  const auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw std::invalid_argument("semi-dynamic: " + what);
+  };
+  require(options.num_paths >= 1, "paths must be >= 1");
+  require(options.initial_active >= 1, "initial_active must be >= 1");
+  require(options.flows_per_event >= 1, "flows_per_event must be >= 1");
+  require(options.min_active >= 0, "min_active must be >= 0");
+  require(options.min_active <= options.max_active,
+          "min_active (" + std::to_string(options.min_active) +
+              ") must be <= max_active (" +
+              std::to_string(options.max_active) + ")");
+  require(options.num_events >= 0, "events must be >= 0");
   Driver driver(options);
   return driver.run();
 }

@@ -129,13 +129,13 @@ FabricGraph make_leaf_spine(const LeafSpineOptions& options) {
   if (options.hosts_per_leaf < 1 || options.num_leaves < 1 ||
       options.num_spines < 1) {
     throw std::invalid_argument(
-        "build_leaf_spine: hosts_per_leaf, num_leaves and num_spines must "
+        "make_leaf_spine: hosts_per_leaf, num_leaves and num_spines must "
         "all be >= 1");
   }
   if (!sim::valid_rate_bps(options.host_rate_bps) ||
       !sim::valid_rate_bps(options.spine_rate_bps)) {
     throw std::invalid_argument(
-        "build_leaf_spine: link rates must be positive");
+        "make_leaf_spine: link rates must be positive");
   }
   const sim::TimeNs core_delay = options.effective_core_delay();
   FabricGraph graph;

@@ -140,10 +140,9 @@ struct LeafSpineOptions {
 };
 
 /// Leaf-spine as data: leaves (tier 1) then spines (tier 2) then hosts in
-/// leaf-major order, edge cables before core cables — exactly the creation
-/// order build_leaf_spine has always used, so materialize() reproduces the
-/// historical fabric byte-for-byte.  Throws std::invalid_argument on
-/// non-positive counts or rates.
+/// leaf-major order, edge cables before core cables.  The golden hashes pin
+/// this creation order (it fixes link ids, path order and ECMP picks).
+/// Throws std::invalid_argument on non-positive counts or rates.
 FabricGraph make_leaf_spine(const LeafSpineOptions& options);
 
 /// Base (zero-load) RTT between two hosts under different leaves of a
@@ -177,7 +176,7 @@ FabricGraph make_jellyfish(const JellyfishOptions& options);
 /// Base (zero-load) RTT of the *longest* shortest host-to-host route in an
 /// arbitrary graph: per store-and-forward hop, propagation + one data packet
 /// forward and propagation + one ACK back, each at that hop's own rate.
-/// Equals LeafSpine::cross_leaf_rtt on a multi-leaf leaf-spine; used as the
+/// Equals leaf_spine_cross_rtt on a multi-leaf leaf-spine; used as the
 /// latency charge / BDP basis for fabrics with no "cross-leaf" notion.
 sim::TimeNs base_rtt(const FabricGraph& graph);
 

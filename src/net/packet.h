@@ -21,7 +21,8 @@ using FlowId = std::uint64_t;
 
 /// A source route: the ordered list of links a packet traverses from the
 /// sender's NIC to the receiver.  Flows own their Path objects; packets point
-/// at them.  See DESIGN.md §5 on source routing vs per-hop ECMP.
+/// at them.  Source routing stands in for per-hop ECMP: per-hop hashing also
+/// keeps a flow on one path, and a leaf-spine has a single branch point.
 struct Path {
   std::vector<Link*> links;
 

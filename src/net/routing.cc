@@ -90,50 +90,11 @@ void enumerate(const Topology& topo, const Dist& dist, const Node* at,
   }
 }
 
-/// Unranks path `rank` (0-based, creation order) without enumerating the
-/// rest: at each node, eligible links are visited in creation order and the
-/// rank indexes into the concatenation of their subtrees' path sets.
-Path kth_path(const Topology& topo, const Dist& dist, const Node* src,
-              const Node* dst, std::uint64_t rank,
-              std::unordered_map<const Node*, std::uint64_t>& memo) {
-  Path path;
-  const Node* at = src;
-  while (at != dst) {
-    bool advanced = false;
-    for (Link* link : topo.outgoing(at)) {
-      if (!on_shortest_path(dist, at, link)) continue;
-      const std::uint64_t below = count_from(topo, dist, link->dst(), dst, memo);
-      if (rank < below) {
-        path.links.push_back(link);
-        at = link->dst();
-        advanced = true;
-        break;
-      }
-      rank -= below;
-    }
-    if (!advanced) throw std::logic_error("kth_path: rank out of range");
-  }
-  return path;
-}
-
-void check_endpoints(const Node* src, const Node* dst) {
-  if (src == dst) throw std::invalid_argument("all_shortest_paths: src == dst");
-}
-
 }  // namespace
-
-std::uint64_t count_shortest_paths(const Topology& topo, const Node* src,
-                                   const Node* dst) {
-  check_endpoints(src, dst);
-  const Dist dist = distances_to(topo, dst);
-  if (!dist.contains(src)) return 0;  // unreachable
-  std::unordered_map<const Node*, std::uint64_t> memo;
-  return count_from(topo, dist, src, dst, memo);
-}
 
 std::vector<Path> all_shortest_paths(const Topology& topo, const Node* src,
                                      const Node* dst) {
-  check_endpoints(src, dst);
+  if (src == dst) throw std::invalid_argument("all_shortest_paths: src == dst");
   const Dist dist = distances_to(topo, dst);
   std::vector<Path> paths;
   if (!dist.contains(src)) return paths;  // unreachable
@@ -143,42 +104,12 @@ std::vector<Path> all_shortest_paths(const Topology& topo, const Node* src,
     throw std::length_error(
         "all_shortest_paths: " + std::to_string(total) +
         " shortest paths exceed the enumeration limit of " +
-        std::to_string(kMaxEnumeratedPaths) +
-        "; use sample_shortest_paths() to opt into a capped subset");
+        std::to_string(kMaxEnumeratedPaths));
   }
   paths.reserve(static_cast<std::size_t>(total));
   std::vector<Link*> stack;
   enumerate(topo, dist, src, dst, stack, paths);
   return paths;
-}
-
-ShortestPathSample sample_shortest_paths(const Topology& topo, const Node* src,
-                                         const Node* dst,
-                                         std::size_t max_paths) {
-  if (max_paths == 0) {
-    throw std::invalid_argument("sample_shortest_paths: max_paths must be > 0");
-  }
-  check_endpoints(src, dst);
-  ShortestPathSample sample;
-  const Dist dist = distances_to(topo, dst);
-  if (!dist.contains(src)) return sample;  // unreachable
-  std::unordered_map<const Node*, std::uint64_t> memo;
-  sample.total_paths = count_from(topo, dist, src, dst, memo);
-  if (sample.total_paths <= max_paths) {
-    std::vector<Link*> stack;
-    sample.paths.reserve(static_cast<std::size_t>(sample.total_paths));
-    enumerate(topo, dist, src, dst, stack, sample.paths);
-    return sample;
-  }
-  sample.paths.reserve(max_paths);
-  for (std::size_t i = 0; i < max_paths; ++i) {
-    // floor(i * total / max_paths) in 128-bit so a saturated total cannot
-    // overflow the stride arithmetic.
-    const std::uint64_t rank = static_cast<std::uint64_t>(
-        static_cast<unsigned __int128>(sample.total_paths) * i / max_paths);
-    sample.paths.push_back(kth_path(topo, dist, src, dst, rank, memo));
-  }
-  return sample;
 }
 
 Path reverse_path(const Path& path) {
@@ -192,11 +123,6 @@ Path reverse_path(const Path& path) {
     rev.links.push_back(twin);
   }
   return rev;
-}
-
-const Path& ecmp_pick(const std::vector<Path>& paths, FlowId flow) {
-  if (paths.empty()) throw std::invalid_argument("ecmp_pick: no paths");
-  return paths[ecmp_index(paths.size(), flow)];
 }
 
 std::size_t ecmp_index(std::size_t count, FlowId flow) {
@@ -342,8 +268,7 @@ std::vector<std::vector<int>> all_shortest_paths(const FabricGraph& graph,
     throw std::length_error(
         "all_shortest_paths: " + std::to_string(total) +
         " shortest paths exceed the enumeration limit of " +
-        std::to_string(kMaxEnumeratedPaths) +
-        "; use sample_shortest_paths() to opt into a capped subset");
+        std::to_string(kMaxEnumeratedPaths));
   }
   paths.reserve(static_cast<std::size_t>(total));
   std::vector<int> stack;

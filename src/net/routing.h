@@ -3,8 +3,9 @@
 // Flows are source-routed: at flow start a path is picked among all
 // equal-cost shortest paths (by hop count), either by hash (per-flow ECMP) or
 // uniformly at random (how the MPTCP experiment of Fig. 8 maps sub-flows to
-// paths).  See DESIGN.md §5 for why this is equivalent to per-hop ECMP in the
-// paper's setting.
+// paths).  In a two-tier leaf-spine the only branch point is the spine the
+// source leaf picks, so one per-flow hash over the path set is exactly
+// per-hop ECMP.
 #pragma once
 
 #include <cstdint>
@@ -16,57 +17,24 @@
 namespace numfabric::net {
 
 /// Largest shortest-path set all_shortest_paths() will enumerate.  Beyond
-/// this a fabric is pathological for source routing and the caller must opt
-/// into sampling explicitly (sample_shortest_paths) instead of silently
-/// losing path diversity.
+/// this a fabric is pathological for source routing, so enumeration throws
+/// instead of silently losing path diversity.
 inline constexpr std::size_t kMaxEnumeratedPaths = 4096;
 
 /// All shortest paths (fewest links) from src to dst, in deterministic order
 /// (by link creation order) so path selection is reproducible.  The COMPLETE
 /// set is returned — there is no silent cap.  Throws std::length_error when
-/// the set exceeds kMaxEnumeratedPaths; callers that can live with a subset
-/// opt in via sample_shortest_paths().
+/// the set exceeds kMaxEnumeratedPaths.
 std::vector<Path> all_shortest_paths(const Topology& topo, const Node* src,
                                      const Node* dst);
-
-/// Number of distinct shortest paths from src to dst (counted by dynamic
-/// programming, not enumeration — cheap even when the set is huge).
-/// Saturates at std::uint64_t max.
-std::uint64_t count_shortest_paths(const Topology& topo, const Node* src,
-                                   const Node* dst);
-
-/// Result of the capped enumeration: the chosen subset plus the size of the
-/// full set, so callers always see when (and how much) was dropped.
-struct ShortestPathSample {
-  std::vector<Path> paths;
-  /// Size of the complete shortest-path set (counted, not enumerated).
-  std::uint64_t total_paths = 0;
-
-  bool capped() const { return total_paths > paths.size(); }
-};
-
-/// At most `max_paths` shortest paths.  When the full set fits this is
-/// exactly all_shortest_paths(); when it does not, the subset is picked at
-/// an even deterministic stride over the full creation-ordered set (path
-/// ranks floor(i * total / max_paths)) rather than a creation-order prefix,
-/// so wide fabrics keep their spine diversity instead of biasing toward
-/// early-created links.  Selected paths are unranked directly — the full set
-/// is never materialized.
-ShortestPathSample sample_shortest_paths(const Topology& topo, const Node* src,
-                                         const Node* dst,
-                                         std::size_t max_paths);
 
 /// Builds the reverse of `path` out of twin links (dst back to src).
 Path reverse_path(const Path& path);
 
-/// Deterministic ECMP pick: hash the flow id over the path set.  SplitMix64
-/// mixing plus fixed-point (multiply-shift) range reduction, so sequential
-/// flow ids spread evenly and no path set size suffers modulo bias.
-const Path& ecmp_pick(const std::vector<Path>& paths, FlowId flow);
-
-/// The index ecmp_pick() would choose among `count` alternatives — exposed so
-/// link-id path sets (graph routing, flow fidelity) select the same path for
-/// a flow as the object-path overload.  Throws on count == 0.
+/// Deterministic ECMP pick: the index among `count` alternatives that `flow`
+/// hashes to.  SplitMix64 mixing plus fixed-point (multiply-shift) range
+/// reduction, so sequential flow ids spread evenly and no path set size
+/// suffers modulo bias.  Throws on count == 0.
 std::size_t ecmp_index(std::size_t count, FlowId flow);
 
 // ---------------------------------------------------------------------------

@@ -130,12 +130,6 @@ ShardPlan build_shard_plan(const FabricGraph& graph,
   return plan;
 }
 
-ShardPlan build_leaf_shard_plan(const LeafSpine& fabric,
-                                const LeafSpineOptions& options, int shards) {
-  (void)options;
-  return build_shard_plan(fabric.graph, fabric.mat, shards);
-}
-
 ShardRouter::ShardRouter(sim::ShardedSimulator& engine)
     : engine_(engine), shards_(engine.num_shards()) {
   channels_.reserve(static_cast<std::size_t>(shards_ * shards_));

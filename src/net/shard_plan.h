@@ -70,12 +70,6 @@ std::string shard_partition_obstacle(const FabricGraph& graph);
 ShardPlan build_shard_plan(const FabricGraph& graph,
                            const MaterializedFabric& mat, int shards);
 
-/// Assigns every node of `fabric` to a shard (leaf-major blocks; spines
-/// round-robin) and derives the lookahead from the core-link delay.
-/// Equivalent to build_shard_plan on the fabric's graph.
-ShardPlan build_leaf_shard_plan(const LeafSpine& fabric,
-                                const LeafSpineOptions& options, int shards);
-
 /// Cross-shard packet delivery channels (see file comment).
 class ShardRouter {
  public:

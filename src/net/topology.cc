@@ -90,32 +90,6 @@ MaterializedFabric Topology::materialize(const FabricGraph& graph,
   return mat;
 }
 
-LeafSpine build_leaf_spine(Topology& topo, const LeafSpineOptions& options,
-                           const QueueFactory& make_queue,
-                           const QueueFactory& make_core_queue) {
-  LeafSpine result;
-  result.graph = make_leaf_spine(options);  // validates the options
-  result.mat = topo.materialize(result.graph, make_queue, make_core_queue);
-  result.hosts = result.mat.hosts;
-  result.leaves.assign(
-      result.mat.switches.begin(),
-      result.mat.switches.begin() + options.num_leaves);
-  result.spines.assign(
-      result.mat.switches.begin() + options.num_leaves,
-      result.mat.switches.end());
-  for (int link = 0; link < result.graph.num_links(); ++link) {
-    const GraphNodeKind src_kind =
-        result.graph.nodes()[static_cast<std::size_t>(result.graph.link_src(link))].kind;
-    const GraphNodeKind dst_kind =
-        result.graph.nodes()[static_cast<std::size_t>(result.graph.link_dst(link))].kind;
-    if (src_kind == GraphNodeKind::kSwitch && dst_kind == GraphNodeKind::kSwitch) {
-      result.core_links.push_back(result.mat.links[static_cast<std::size_t>(link)]);
-    }
-  }
-  result.cross_leaf_rtt = leaf_spine_cross_rtt(options);
-  return result;
-}
-
 Dumbbell build_dumbbell(Topology& topo, int n, double edge_bps,
                         double bottleneck_bps, sim::TimeNs delay,
                         const QueueFactory& make_queue) {

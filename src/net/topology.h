@@ -1,4 +1,4 @@
-// Topology: owns nodes and links, provides builders for the paper's setups.
+// Topology: owns the packet engine's nodes and links.
 //
 // Evaluation topologies (§6):
 //  * leaf-spine, 128 hosts / 8 leaves / 4 spines, 10G edge + 40G core,
@@ -7,6 +7,9 @@
 //  * single bottleneck link with variable capacity (Fig. 9);
 //  * the three-link topology of Fig. 10;
 // plus dumbbell and parking-lot used by tests.
+//
+// Leaf-spines are FabricGraphs (make_leaf_spine, net/fabric_graph.h) that
+// materialize() instantiates; the builders below hand-wire the rest.
 #pragma once
 
 #include <functional>
@@ -82,36 +85,6 @@ class Topology {
 // ---------------------------------------------------------------------------
 // Builders
 // ---------------------------------------------------------------------------
-
-// LeafSpineOptions (and the other graph builders) live in net/fabric_graph.h;
-// this header re-exports them via its include for the object-topology layer.
-
-struct LeafSpine {
-  /// The data-first description the fabric was materialized from, and the
-  /// graph-indexed object view (shard planning, path tables).
-  FabricGraph graph;
-  MaterializedFabric mat;
-
-  std::vector<Host*> hosts;
-  std::vector<Switch*> leaves;
-  std::vector<Switch*> spines;
-  /// Every leaf-spine link, both directions, in creation order (leaf-major,
-  /// uplink before downlink) — the contended tier for utilization metrics.
-  std::vector<Link*> core_links;
-
-  /// Base (zero-load) RTT between two hosts under different leaves,
-  /// including serialization of one data packet + one ACK per store-and-
-  /// forward hop, each at that hop's own rate.
-  sim::TimeNs cross_leaf_rtt = 0;
-};
-
-/// Builds the fabric: make_leaf_spine(options) + materialize.  `make_queue`
-/// creates edge (host-leaf) queues; `make_core_queue`, when non-null, creates
-/// the leaf-spine queues instead — per-tier buffer sizing for contended
-/// cores.  Throws std::invalid_argument on non-positive counts or rates.
-LeafSpine build_leaf_spine(Topology& topo, const LeafSpineOptions& options,
-                           const QueueFactory& make_queue,
-                           const QueueFactory& make_core_queue = nullptr);
 
 struct Dumbbell {
   std::vector<Host*> senders;

@@ -5,7 +5,7 @@
 //   sim::Simulator sim;
 //   transport::Fabric fabric(sim, {.scheme = Scheme::kNumFabric});
 //   net::Topology topo(sim);
-//   auto ls = net::build_leaf_spine(topo, {}, fabric.queue_factory());
+//   topo.materialize(net::make_leaf_spine({}), fabric.queue_factory());
 //   fabric.attach_agents(topo);            // ControlPlane: xWI/DGD/RCP* state
 //   fabric.add_flow(spec);                 // schedules start_time
 //   sim.run_until(sim::millis(50));

@@ -4,7 +4,8 @@
 // size, served smallest-first, dropped largest-first) and keeps host rate
 // control minimal: flows start at line rate with a window of one BDP and
 // recover losses with a small timeout.  Our reproduction keeps exactly that
-// mechanism set; see DESIGN.md §1 for the fidelity notes.
+// mechanism set: Fig. 7 compares against pFabric's switch scheduling, not
+// against host-side tuning.
 #pragma once
 
 #include "transport/sender_base.h"

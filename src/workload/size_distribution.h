@@ -5,7 +5,8 @@
 // synthetic piecewise CDFs matching the descriptive statistics the paper
 // quotes (web search: ~50% of flows < 100 KB while 95% of bytes come from
 // the 30% of flows > 1 MB; enterprise: 95% of flows < 10 KB and ~70% of
-// flows are 1-2 packets).  See DESIGN.md §1.
+// flows are 1-2 packets).  They match those statistics, not the unpublished
+// traces themselves.
 //
 // Sampling interpolates log-linearly in size between CDF breakpoints, which
 // reproduces the heavy-tail shape the experiments depend on.

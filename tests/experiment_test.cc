@@ -12,7 +12,6 @@
 #include "exp/dynamic_workload.h"
 #include "exp/semi_dynamic.h"
 #include "exp/traffic_experiment.h"
-#include "net/routing.h"
 
 namespace numfabric::exp {
 namespace {
@@ -20,20 +19,17 @@ namespace {
 TEST(CommonTest, LinkIndexerMapsAllLinks) {
   sim::Simulator sim;
   net::Topology topo(sim);
-  const net::LeafSpine ls = net::build_leaf_spine(
-      topo, {.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 2},
-      net::drop_tail_factory());
+  const net::FabricGraph graph = net::make_leaf_spine(
+      {.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 2});
+  topo.materialize(graph, net::drop_tail_factory());
   const LinkIndexer indexer(topo);
-  EXPECT_EQ(indexer.capacities().size(), topo.links().size());
-  for (const auto& link : topo.links()) {
-    const int index = indexer.index(link.get());
-    ASSERT_GE(index, 0);
-    EXPECT_DOUBLE_EQ(indexer.capacities()[static_cast<std::size_t>(index)],
-                     link->rate_bps() / 1e6);
+  ASSERT_EQ(indexer.capacities().size(), topo.links().size());
+  for (std::size_t i = 0; i < topo.links().size(); ++i) {
+    EXPECT_DOUBLE_EQ(indexer.capacities()[i],
+                     topo.links()[i]->rate_bps() / 1e6);
   }
-  const auto paths = net::all_shortest_paths(topo, ls.hosts[0], ls.hosts[2]);
-  const auto indices = indexer.path_indices(paths[0]);
-  EXPECT_EQ(indices.size(), 4u);
+  // Graph link l is Topology::links()[l], so both capacity vectors agree.
+  EXPECT_EQ(indexer.capacities(), graph_capacities(graph));
 }
 
 TEST(CommonTest, ScaleFromEnvDefaultsQuick) {
@@ -123,6 +119,32 @@ TEST(SemiDynamicTest, TraceModeRecordsSeries) {
   double max_rate = 0;
   for (const auto& [t, rate] : result.trace) max_rate = std::max(max_rate, rate);
   EXPECT_GT(max_rate, 1e9);
+}
+
+// A stop event larger than the active set stops every slot but the traced
+// one.  It used to stop the traced flow too and then draw from an empty
+// active set ("Rng::index: empty range").
+TEST(SemiDynamicTest, StopEventsNeverStopTheTracedFlow) {
+  SemiDynamicOptions options;
+  options.scheme = transport::Scheme::kDctcp;
+  options.topology.hosts_per_leaf = 2;
+  options.topology.num_leaves = 2;
+  options.topology.num_spines = 1;
+  options.num_paths = 8;
+  options.initial_active = 2;
+  options.flows_per_event = 3;
+  options.num_events = 3;
+  options.min_active = 0;
+  options.max_active = 3;  // 2 + 3 > 3: every event stops flows
+  options.record_trace = true;
+  options.fixed_event_interval = sim::millis(1);
+  options.use_maxmin_targets = true;
+  const SemiDynamicResult result = run_semi_dynamic(options);
+  // The traced flow is active at every measurement: initial + 3 events.
+  ASSERT_EQ(result.expected_steps.size(), 4u);
+  for (const auto& [at_ms, rate] : result.expected_steps) {
+    EXPECT_GT(rate, 0) << at_ms;
+  }
 }
 
 TEST(TrafficExperimentTest, ParsePatternRoundTrips) {

@@ -110,24 +110,17 @@ TEST(FabricGraphTest, MaterializeMirrorsGraphIndexing) {
   }
 }
 
-TEST(FabricGraphTest, BuildLeafSpineViewsAgreeWithTheGraph) {
-  sim::Simulator sim;
-  Topology topo(sim);
-  const LeafSpineOptions options{.hosts_per_leaf = 2,
-                                 .num_leaves = 3,
-                                 .num_spines = 2};
-  const LeafSpine fabric =
-      build_leaf_spine(topo, options, drop_tail_factory());
-
-  EXPECT_EQ(fabric.hosts, fabric.mat.hosts);
-  EXPECT_EQ(fabric.leaves.size(), 3u);
-  EXPECT_EQ(fabric.spines.size(), 2u);
-  EXPECT_EQ(fabric.core_links.size(), 2u * 3u * 2u);
-  EXPECT_EQ(fabric.graph.num_hosts(), 6);
-  // The legacy cross-leaf RTT formula and the graph-general base_rtt agree
-  // on any multi-leaf leaf-spine.
-  EXPECT_EQ(fabric.cross_leaf_rtt, leaf_spine_cross_rtt(options));
-  EXPECT_EQ(base_rtt(fabric.graph), fabric.cross_leaf_rtt);
+TEST(FabricGraphTest, LeafSpineBaseRttMatchesCrossLeafFormula) {
+  // The leaf-spine cross-leaf RTT formula and the graph-general base_rtt
+  // agree on any multi-leaf leaf-spine, symmetric core delay or not.
+  LeafSpineOptions options{.hosts_per_leaf = 2,
+                           .num_leaves = 3,
+                           .num_spines = 2};
+  EXPECT_EQ(base_rtt(make_leaf_spine(options)),
+            leaf_spine_cross_rtt(options));
+  options.core_link_delay = sim::micros(5);
+  EXPECT_EQ(base_rtt(make_leaf_spine(options)),
+            leaf_spine_cross_rtt(options));
 }
 
 TEST(FabricGraphTest, LeafSpineRejectsInfiniteOrVanishingRates) {

@@ -1,10 +1,11 @@
-// Path enumeration (no-silent-cap contract, counting, strided sampling) and
-// ECMP selection (deterministic, unbiased spread).
+// Path enumeration (no-silent-cap contract) and ECMP selection
+// (deterministic, unbiased spread).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/routing.h"
@@ -47,7 +48,6 @@ TEST(RoutingTest, EnumeratesWideFabricsWithoutSilentCap) {
   const ParallelFabric fabric = build_parallel(topo, 100);
   const auto paths = all_shortest_paths(topo, fabric.src, fabric.dst);
   ASSERT_EQ(paths.size(), 100u);
-  EXPECT_EQ(count_shortest_paths(topo, fabric.src, fabric.dst), 100u);
   for (std::size_t i = 0; i < paths.size(); ++i) {
     ASSERT_EQ(paths[i].links.size(), 3u);
     EXPECT_EQ(paths[i].links[1], fabric.cables[i]);
@@ -69,52 +69,7 @@ TEST(RoutingTest, ThrowsPastEnumerationLimitInsteadOfTruncating) {
     topo.connect(a, b, 10e9, sim::micros(1), drop_tail_factory());
     topo.connect(b, c, 10e9, sim::micros(1), drop_tail_factory());
   }
-  EXPECT_EQ(count_shortest_paths(topo, src, dst), 4900u);
   EXPECT_THROW(all_shortest_paths(topo, src, dst), std::length_error);
-  // The explicit opt-in still works and reports what was dropped.
-  const ShortestPathSample sample = sample_shortest_paths(topo, src, dst, 16);
-  EXPECT_EQ(sample.total_paths, 4900u);
-  EXPECT_EQ(sample.paths.size(), 16u);
-  EXPECT_TRUE(sample.capped());
-}
-
-TEST(RoutingTest, SampleSpreadsEvenlyInsteadOfPrefixing) {
-  sim::Simulator sim;
-  Topology topo(sim);
-  const ParallelFabric fabric = build_parallel(topo, 100);
-  const ShortestPathSample sample =
-      sample_shortest_paths(topo, fabric.src, fabric.dst, 10);
-  EXPECT_EQ(sample.total_paths, 100u);
-  ASSERT_EQ(sample.paths.size(), 10u);
-  EXPECT_TRUE(sample.capped());
-  // Even stride over the creation order: ranks 0, 10, 20, ..., 90 — not the
-  // first ten cables.
-  for (std::size_t i = 0; i < sample.paths.size(); ++i) {
-    EXPECT_EQ(sample.paths[i].links[1], fabric.cables[i * 10]) << i;
-  }
-}
-
-TEST(RoutingTest, SampleReturnsFullSetWhenItFits) {
-  sim::Simulator sim;
-  Topology topo(sim);
-  const ParallelFabric fabric = build_parallel(topo, 8);
-  const ShortestPathSample sample =
-      sample_shortest_paths(topo, fabric.src, fabric.dst, 64);
-  EXPECT_EQ(sample.total_paths, 8u);
-  EXPECT_EQ(sample.paths.size(), 8u);
-  EXPECT_FALSE(sample.capped());
-  EXPECT_THROW(sample_shortest_paths(topo, fabric.src, fabric.dst, 0),
-               std::invalid_argument);
-}
-
-TEST(RoutingTest, CountHandlesUnreachableAndDegenerate) {
-  sim::Simulator sim;
-  Topology topo(sim);
-  Host* a = topo.add_host("a");
-  Host* b = topo.add_host("b");
-  EXPECT_EQ(count_shortest_paths(topo, a, b), 0u);
-  EXPECT_TRUE(sample_shortest_paths(topo, a, b, 4).paths.empty());
-  EXPECT_THROW(count_shortest_paths(topo, a, a), std::invalid_argument);
 }
 
 TEST(RoutingTest, EcmpSpreadsSequentialFlowIdsOver16Spines) {
@@ -123,16 +78,16 @@ TEST(RoutingTest, EcmpSpreadsSequentialFlowIdsOver16Spines) {
   // land near-uniformly across a 16-spine fabric's path set.
   sim::Simulator sim;
   Topology topo(sim);
-  const LeafSpine ls = build_leaf_spine(
-      topo, {.hosts_per_leaf = 1, .num_leaves = 2, .num_spines = 16},
+  const MaterializedFabric mat = topo.materialize(
+      make_leaf_spine({.hosts_per_leaf = 1, .num_leaves = 2, .num_spines = 16}),
       drop_tail_factory());
-  const auto paths = all_shortest_paths(topo, ls.hosts[0], ls.hosts[1]);
+  const auto paths = all_shortest_paths(topo, mat.hosts[0], mat.hosts[1]);
   ASSERT_EQ(paths.size(), 16u);
 
   constexpr int kFlows = 4096;
-  std::map<const Path*, int> counts;
+  std::map<std::size_t, int> counts;
   for (FlowId flow = 1; flow <= kFlows; ++flow) {
-    ++counts[&ecmp_pick(paths, flow)];
+    ++counts[ecmp_index(paths.size(), flow)];
   }
   ASSERT_EQ(counts.size(), 16u) << "some spine never picked";
   const int expected = kFlows / 16;  // 256
@@ -151,17 +106,18 @@ TEST(RoutingTest, EcmpAvoidsModuloBiasOnOddSetSizes) {
   const ParallelFabric fabric = build_parallel(topo, 5);
   const auto paths = all_shortest_paths(topo, fabric.src, fabric.dst);
   ASSERT_EQ(paths.size(), 5u);
-  std::map<const Path*, int> counts;
+  std::map<std::size_t, int> counts;
   constexpr int kFlows = 5000;
   for (FlowId flow = 1; flow <= kFlows; ++flow) {
-    ++counts[&ecmp_pick(paths, flow)];
+    ++counts[ecmp_index(paths.size(), flow)];
   }
+  ASSERT_EQ(counts.size(), 5u);
   for (const auto& [path, count] : counts) {
     EXPECT_GT(count, 850);
     EXPECT_LT(count, 1150);
   }
   // Deterministic across calls.
-  EXPECT_EQ(&ecmp_pick(paths, 12345), &ecmp_pick(paths, 12345));
+  EXPECT_EQ(ecmp_index(paths.size(), 12345), ecmp_index(paths.size(), 12345));
 }
 
 // ---------------------------------------------------------------------------
@@ -294,16 +250,31 @@ TEST(GraphRoutingTest, KShortestContractViolationsThrow) {
                std::length_error);
 }
 
-TEST(GraphRoutingTest, EcmpIndexMatchesEcmpPick) {
-  sim::Simulator sim;
-  Topology topo(sim);
-  const ParallelFabric fabric = build_parallel(topo, 7);
-  const auto paths = all_shortest_paths(topo, fabric.src, fabric.dst);
-  for (FlowId flow = 1; flow <= 500; ++flow) {
-    EXPECT_EQ(&paths[ecmp_index(paths.size(), flow)], &ecmp_pick(paths, flow))
-        << flow;
+TEST(GraphRoutingTest, ThrowsPastEnumerationLimitInsteadOfTruncating) {
+  // The graph twin of the object-side case: two stages of 70 parallel
+  // cables give 4900 shortest paths > kMaxEnumeratedPaths, and the error
+  // names the set size and the limit.
+  FabricGraph graph;
+  const int src = graph.add_host("src");
+  const int dst = graph.add_host("dst");
+  const int a = graph.add_switch("a");
+  const int b = graph.add_switch("b");
+  const int c = graph.add_switch("c");
+  graph.add_cable(src, a, 10e9, sim::micros(1));
+  graph.add_cable(c, dst, 10e9, sim::micros(1));
+  for (int i = 0; i < 70; ++i) {
+    graph.add_cable(a, b, 10e9, sim::micros(1));
+    graph.add_cable(b, c, 10e9, sim::micros(1));
   }
-  EXPECT_THROW(ecmp_index(0, 1), std::invalid_argument);
+  try {
+    all_shortest_paths(graph, src, dst);
+    ADD_FAILURE() << "4900 paths enumerated past the limit";
+  } catch (const std::length_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("4900"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kMaxEnumeratedPaths)), std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

@@ -312,6 +312,63 @@ TEST(DriverTest, SensitivityRejectsNegativeEta) {
   EXPECT_NE(error.find("eta"), std::string::npos) << error;
 }
 
+// Semi-dynamic inputs are checked before the fabric is built: an empty path
+// population used to segfault on the traced slot (exit 139), a negative one
+// died in vector::reserve, and a negative batch or inverted active bounds
+// ran to exit 0.  Each now exits 1 naming its scenario key.
+std::string semi_dynamic_error(const std::string& scenario,
+                               const std::vector<std::string>& overrides) {
+  std::map<std::string, std::string> params = {
+      {"topology", "2x2x1"},    {"paths", "12"},     {"initial_active", "6"},
+      {"flows_per_event", "2"}, {"min_active", "4"}, {"max_active", "8"},
+      {"events", "2"}};
+  for (const std::string& kv : overrides) {
+    const auto eq = kv.find('=');
+    params[kv.substr(0, eq)] = kv.substr(eq + 1);
+  }
+  std::vector<std::string> args = {"--scenario=" + scenario};
+  for (const auto& [key, value] : params) args.push_back(key + "=" + value);
+  testing::internal::CaptureStderr();
+  const int exit_code = run_cli(args);
+  const std::string error = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(exit_code, 1) << scenario << ": " << error;
+  return error;
+}
+
+TEST(DriverTest, SemiDynamicRejectsAnEmptyPathPopulation) {
+  for (const char* scenario :
+       {"convergence", "rate-timeseries", "sensitivity"}) {
+    const std::string error = semi_dynamic_error(scenario, {"paths=0"});
+    EXPECT_NE(error.find("paths"), std::string::npos) << scenario << error;
+  }
+}
+
+TEST(DriverTest, SemiDynamicRejectsANegativePathCount) {
+  const std::string error = semi_dynamic_error("convergence", {"paths=-3"});
+  EXPECT_NE(error.find("paths"), std::string::npos) << error;
+}
+
+TEST(DriverTest, SemiDynamicRejectsNonPositiveBatches) {
+  for (const char* bad : {"flows_per_event=-1", "flows_per_event=0"}) {
+    const std::string error = semi_dynamic_error("convergence", {bad});
+    EXPECT_NE(error.find("flows_per_event"), std::string::npos) << bad << error;
+  }
+  const std::string error =
+      semi_dynamic_error("convergence", {"initial_active=0"});
+  EXPECT_NE(error.find("initial_active"), std::string::npos) << error;
+}
+
+TEST(DriverTest, SemiDynamicRejectsInvertedOrNegativeActiveBounds) {
+  std::string error = semi_dynamic_error(
+      "rate-timeseries", {"min_active=200", "max_active=100"});
+  EXPECT_NE(error.find("min_active"), std::string::npos) << error;
+  EXPECT_NE(error.find("max_active"), std::string::npos) << error;
+  error = semi_dynamic_error("convergence", {"min_active=-1"});
+  EXPECT_NE(error.find("min_active"), std::string::npos) << error;
+  error = semi_dynamic_error("sensitivity", {"events=-1"});
+  EXPECT_NE(error.find("events"), std::string::npos) << error;
+}
+
 // Link rates must be finite and positive.  An infinite host rate used to
 // serialize in zero time and leave a flow incomplete with exit 0; a
 // vanishing one overflowed the nanosecond clock (undefined behavior that

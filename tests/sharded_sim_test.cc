@@ -73,18 +73,20 @@ TEST(ShardPlanTest, LeafMajorAssignmentAndLookahead) {
   options.num_leaves = 4;
   options.hosts_per_leaf = 2;
   options.num_spines = 2;
-  const net::LeafSpine fabric =
-      net::build_leaf_spine(topo, options, net::drop_tail_factory());
+  const net::FabricGraph graph = net::make_leaf_spine(options);
+  const net::MaterializedFabric fabric =
+      topo.materialize(graph, net::drop_tail_factory());
 
-  const net::ShardPlan plan = net::build_leaf_shard_plan(fabric, options, 2);
+  const net::ShardPlan plan = net::build_shard_plan(graph, fabric, 2);
   EXPECT_EQ(plan.shards, 2);
   EXPECT_EQ(plan.lookahead, options.effective_core_delay());
 
   // Leaves split into contiguous leaf-major blocks: 0,1 -> shard 0;
   // 2,3 -> shard 1.  Hosts follow their leaf; spines go round-robin.
+  // Switches materialize leaves first, then spines.
   for (int leaf = 0; leaf < options.num_leaves; ++leaf) {
     const int expected = leaf * 2 / options.num_leaves;
-    EXPECT_EQ(plan.shard_of(fabric.leaves[static_cast<std::size_t>(leaf)]),
+    EXPECT_EQ(plan.shard_of(fabric.switches[static_cast<std::size_t>(leaf)]),
               expected)
         << "leaf " << leaf;
     for (int h = 0; h < options.hosts_per_leaf; ++h) {
@@ -95,7 +97,8 @@ TEST(ShardPlanTest, LeafMajorAssignmentAndLookahead) {
     }
   }
   for (int s = 0; s < options.num_spines; ++s) {
-    EXPECT_EQ(plan.shard_of(fabric.spines[static_cast<std::size_t>(s)]),
+    EXPECT_EQ(plan.shard_of(fabric.switches[static_cast<std::size_t>(
+                  options.num_leaves + s)]),
               s % 2)
         << "spine " << s;
   }

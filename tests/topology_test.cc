@@ -29,10 +29,12 @@ TEST(TopologyTest, LeafSpineShapeAndEcmpPaths) {
   options.hosts_per_leaf = 4;
   options.num_leaves = 3;
   options.num_spines = 2;
-  const LeafSpine ls = build_leaf_spine(topo, options, drop_tail_factory());
+  const MaterializedFabric ls =
+      topo.materialize(make_leaf_spine(options), drop_tail_factory());
   EXPECT_EQ(ls.hosts.size(), 12u);
-  EXPECT_EQ(ls.leaves.size(), 3u);
-  EXPECT_EQ(ls.spines.size(), 2u);
+  EXPECT_EQ(ls.switches.size(), 3u + 2u);  // leaves, then spines
+  EXPECT_EQ(ls.switches[2]->name(), "leaf2");
+  EXPECT_EQ(ls.switches[3]->name(), "spine0");
   // Links: 12 host links + 3*2 leaf-spine cables, both directions.
   EXPECT_EQ(topo.links().size(), 2u * (12 + 6));
 
@@ -50,8 +52,8 @@ TEST(TopologyTest, LeafSpineShapeAndEcmpPaths) {
 TEST(TopologyTest, ReversePathUsesTwins) {
   sim::Simulator sim;
   Topology topo(sim);
-  const LeafSpine ls = build_leaf_spine(
-      topo, {.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 2},
+  const MaterializedFabric ls = topo.materialize(
+      make_leaf_spine({.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 2}),
       drop_tail_factory());
   const auto paths = all_shortest_paths(topo, ls.hosts[0], ls.hosts[2]);
   ASSERT_FALSE(paths.empty());
@@ -63,19 +65,21 @@ TEST(TopologyTest, ReversePathUsesTwins) {
   }
 }
 
-TEST(TopologyTest, EcmpPickDeterministicAndCovering) {
+TEST(TopologyTest, EcmpIndexDeterministicAndCovering) {
   sim::Simulator sim;
   Topology topo(sim);
-  const LeafSpine ls = build_leaf_spine(
-      topo, {.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 4},
+  const MaterializedFabric ls = topo.materialize(
+      make_leaf_spine({.hosts_per_leaf = 2, .num_leaves = 2, .num_spines = 4}),
       drop_tail_factory());
   const auto paths = all_shortest_paths(topo, ls.hosts[0], ls.hosts[2]);
   ASSERT_EQ(paths.size(), 4u);
   // Deterministic...
-  EXPECT_EQ(&ecmp_pick(paths, 17), &ecmp_pick(paths, 17));
+  EXPECT_EQ(ecmp_index(paths.size(), 17), ecmp_index(paths.size(), 17));
   // ...and spreading across paths.
-  std::set<const Path*> chosen;
-  for (FlowId flow = 0; flow < 64; ++flow) chosen.insert(&ecmp_pick(paths, flow));
+  std::set<std::size_t> chosen;
+  for (FlowId flow = 0; flow < 64; ++flow) {
+    chosen.insert(ecmp_index(paths.size(), flow));
+  }
   EXPECT_EQ(chosen.size(), 4u);
 }
 
@@ -125,24 +129,19 @@ TEST(TopologyTest, UnreachableAndDegenerateQueries) {
   Host* b = topo.add_host("b");
   EXPECT_TRUE(all_shortest_paths(topo, a, b).empty());
   EXPECT_THROW(all_shortest_paths(topo, a, a), std::invalid_argument);
-  EXPECT_THROW(ecmp_pick({}, 1), std::invalid_argument);
+  EXPECT_THROW(ecmp_index(0, 1), std::invalid_argument);
 }
 
 TEST(TopologyTest, CrossLeafRttMatchesPaper) {
-  sim::Simulator sim;
-  Topology topo(sim);
   // The paper's topology: 2 us/hop gives a 16 us propagation RTT; the
-  // builder adds serialization on top.
-  const LeafSpine ls = build_leaf_spine(topo, LeafSpineOptions{}, drop_tail_factory());
-  EXPECT_GE(ls.cross_leaf_rtt, sim::micros(16));
-  EXPECT_LE(ls.cross_leaf_rtt, sim::micros(25));
+  // formula adds serialization on top.
+  const sim::TimeNs rtt = leaf_spine_cross_rtt(LeafSpineOptions{});
+  EXPECT_GE(rtt, sim::micros(16));
+  EXPECT_LE(rtt, sim::micros(25));
 }
 
 TEST(TopologyTest, CrossLeafRttChargesEachHopAtItsOwnRate) {
-  sim::Simulator sim;
-  Topology topo(sim);
   LeafSpineOptions options;  // 10G edge, 40G core, 2 us per hop
-  const LeafSpine ls = build_leaf_spine(topo, options, drop_tail_factory());
   // Exact per-hop accounting: 2 edge hops at 10G + 2 core hops at 40G each
   // way, data + ACK.  The old edge-rate-everywhere formula gave 20928 ns.
   const auto hop = [](sim::TimeNs delay, std::uint32_t bytes, double rate) {
@@ -153,8 +152,8 @@ TEST(TopologyTest, CrossLeafRttChargesEachHopAtItsOwnRate) {
            hop(sim::micros(2), kAckPacketBytes, 10e9)) +
       2 * (hop(sim::micros(2), kDataPacketBytes, 40e9) +
            hop(sim::micros(2), kAckPacketBytes, 40e9));
-  EXPECT_EQ(ls.cross_leaf_rtt, expected);
-  EXPECT_EQ(ls.cross_leaf_rtt, 19080);
+  EXPECT_EQ(leaf_spine_cross_rtt(options), expected);
+  EXPECT_EQ(leaf_spine_cross_rtt(options), 19080);
 }
 
 TEST(TopologyTest, OversubscriptionModel) {
@@ -180,11 +179,17 @@ TEST(TopologyTest, OversubscriptionModel) {
   LeafSpineOptions shape = contended;
   shape.num_leaves = 3;
   shape.hosts_per_leaf = 2;
-  const LeafSpine ls = build_leaf_spine(topo, shape, drop_tail_factory());
-  ASSERT_EQ(ls.core_links.size(), 2u * 3 * 2);
-  for (const Link* link : ls.core_links) {
-    EXPECT_DOUBLE_EQ(link->rate_bps(), 10e9);
+  const FabricGraph graph = make_leaf_spine(shape);
+  const MaterializedFabric ls = topo.materialize(graph, drop_tail_factory());
+  int core_links = 0;
+  for (int l = 0; l < graph.num_links(); ++l) {
+    if (graph.nodes()[static_cast<std::size_t>(graph.link_src(l))].tier > 0 &&
+        graph.nodes()[static_cast<std::size_t>(graph.link_dst(l))].tier > 0) {
+      EXPECT_DOUBLE_EQ(ls.links[static_cast<std::size_t>(l)]->rate_bps(), 10e9);
+      ++core_links;
+    }
   }
+  EXPECT_EQ(core_links, 2 * 3 * 2);
   EXPECT_EQ(all_shortest_paths(topo, ls.hosts[0], ls.hosts[2]).size(), 2u);
 }
 
@@ -196,28 +201,29 @@ TEST(TopologyTest, AsymmetricCoreDelayAndPerTierBuffers) {
   options.num_leaves = 2;
   options.num_spines = 2;
   options.core_link_delay = sim::micros(5);
-  const LeafSpine ls = build_leaf_spine(topo, options, drop_tail_factory(1000),
-                                        drop_tail_factory(9000));
+  topo.materialize(make_leaf_spine(options), drop_tail_factory(1000),
+                   drop_tail_factory(9000));
   // Core links get the core factory's deeper buffers and the longer delay;
   // edge links keep the edge factory's.
-  for (const Link* link : ls.core_links) {
-    EXPECT_EQ(link->queue().capacity_bytes(), 9000u);
-    EXPECT_EQ(link->delay(), sim::micros(5));
-  }
-  int edge_links = 0;
+  int edge_links = 0, core_links = 0;
   for (const auto& link : topo.links()) {
     if (link->queue().capacity_bytes() == 1000u) {
       EXPECT_EQ(link->delay(), sim::micros(2));
       ++edge_links;
+    } else {
+      EXPECT_EQ(link->queue().capacity_bytes(), 9000u);
+      EXPECT_EQ(link->delay(), sim::micros(5));
+      ++core_links;
     }
   }
   EXPECT_EQ(edge_links, 2 * 4);  // one cable per host, both directions
+  EXPECT_EQ(core_links, 2 * 2 * 2);
 
   // RTT picks up the asymmetric core delay exactly.
   const auto hop = [](sim::TimeNs delay, std::uint32_t bytes, double rate) {
     return delay + sim::transmission_time(bytes, rate);
   };
-  EXPECT_EQ(ls.cross_leaf_rtt,
+  EXPECT_EQ(leaf_spine_cross_rtt(options),
             2 * (hop(sim::micros(2), kDataPacketBytes, 10e9) +
                  hop(sim::micros(2), kAckPacketBytes, 10e9)) +
                 2 * (hop(sim::micros(5), kDataPacketBytes, 40e9) +
@@ -225,21 +231,17 @@ TEST(TopologyTest, AsymmetricCoreDelayAndPerTierBuffers) {
 }
 
 TEST(TopologyTest, BuilderRejectsDegenerateShapes) {
-  sim::Simulator sim;
-  Topology topo(sim);
   LeafSpineOptions zero_spines;
   zero_spines.num_spines = 0;
-  EXPECT_THROW(build_leaf_spine(topo, zero_spines, drop_tail_factory()),
-               std::invalid_argument);
+  EXPECT_THROW(make_leaf_spine(zero_spines), std::invalid_argument);
   LeafSpineOptions bad_rate;
   bad_rate.spine_rate_bps = 0;
-  EXPECT_THROW(build_leaf_spine(topo, bad_rate, drop_tail_factory()),
-               std::invalid_argument);
+  EXPECT_THROW(make_leaf_spine(bad_rate), std::invalid_argument);
 }
 
 TEST(TopologyTest, WideOversubscribedFabricKeepsFullPathDiversity) {
   // 6 spines at an 8:1 oversubscription: ECMP must still see all 6 paths
-  // (the old silent 64-path cap is gone; counts come from the DP counter).
+  // (the old silent 64-path cap is gone).
   sim::Simulator sim;
   Topology topo(sim);
   LeafSpineOptions options;
@@ -247,11 +249,11 @@ TEST(TopologyTest, WideOversubscribedFabricKeepsFullPathDiversity) {
   options.num_leaves = 2;
   options.num_spines = 6;
   const LeafSpineOptions contended = options.with_oversubscription(8.0);
-  const LeafSpine ls = build_leaf_spine(topo, contended, drop_tail_factory());
+  const MaterializedFabric ls =
+      topo.materialize(make_leaf_spine(contended), drop_tail_factory());
   EXPECT_DOUBLE_EQ(contended.oversubscription(), 8.0);
   const auto paths = all_shortest_paths(topo, ls.hosts[0], ls.hosts[12]);
   EXPECT_EQ(paths.size(), 6u);
-  EXPECT_EQ(count_shortest_paths(topo, ls.hosts[0], ls.hosts[12]), 6u);
   // Same-leaf pairs bypass the contended core entirely.
   EXPECT_EQ(all_shortest_paths(topo, ls.hosts[0], ls.hosts[1]).size(), 1u);
 }
