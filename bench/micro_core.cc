@@ -510,6 +510,55 @@ void BM_FlowSimChurnEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSimChurnEpoch)->Arg(100000)->Arg(1000000);
 
+// One exact-mode step in the shape of bench/e2e's flow-exact workload: the
+// 16x8x4 leaf-spine's capacities (10G hosts, 40G core), Poisson web-search
+// arrivals at load 0.3, tolerance 1e-8, incremental re-solves.  Each step
+// admits or retires a flow and warm re-solves ~100 active flows: a worklist
+// of a few dozen relaxations, then verification.  This is the per-event
+// cost of the fluid oracle behind every packet FCT run.
+void BM_FlowSimExactStep(benchmark::State& state) {
+  const flowsim::VirtualLeafSpine fabric{.hosts_per_leaf = 16,
+                                         .leaves = 8,
+                                         .spines = 4,
+                                         .host_rate = 10e3,
+                                         .leaf_spine_rate = 40e3};
+  static num::AlphaFairUtility utility(1.0);
+  const workload::SizeDistribution& sizes = workload::websearch_distribution();
+  const int kFlows = 2000;
+  // workload::poisson_flows' rate: load * aggregate NIC bps / mean flow bits.
+  const double mean_gap = 8.0 * sizes.mean_bytes() /
+                          (0.3 * fabric.hosts() * fabric.host_rate *
+                           num::kRateUnitBps);
+  sim::Rng rng(17);
+  std::vector<flowsim::FlowSimFlow> flows(kFlows);
+  double arrival = 0.0;
+  for (int i = 0; i < kFlows; ++i) {
+    arrival += rng.exponential(mean_gap);
+    const auto bytes = static_cast<double>(sizes.sample(rng));
+    const auto hosts = static_cast<std::size_t>(fabric.hosts());
+    const auto src = rng.index(hosts);
+    auto dst = rng.index(hosts - 1);
+    if (dst >= src) ++dst;
+    flows[i] = {arrival, bytes,
+                fabric.path(static_cast<int>(src), static_cast<int>(dst),
+                            static_cast<std::uint64_t>(i + 1)),
+                &utility};
+  }
+  flowsim::FlowSimOptions options;  // resolve interval 0: exact mode
+  options.solver.tolerance = 1e-8;
+  options.solver.incremental = true;
+  flowsim::FlowSimEngine engine(std::move(flows), fabric.capacities(),
+                                options);
+  std::int64_t steps = 0;
+  for (auto _ : state) {
+    if (engine.finished()) engine.reset();
+    engine.step();
+    ++steps;
+  }
+  state.SetItemsProcessed(steps);  // steps/sec
+}
+BENCHMARK(BM_FlowSimExactStep);
+
 // Yen's k-shortest-paths over a jellyfish, the routing cost the fabric zoo
 // adds: one ordered host pair per iteration, cycling sources so the metered
 // mix covers distinct pair distances rather than one cached pair.

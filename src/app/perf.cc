@@ -18,10 +18,13 @@ void record_perf(MetricWriter& metrics, const sim::SubstrateStats& delta) {
   row("flowsim_epochs", delta.flowsim_epochs);
   row("flowsim_resolves", delta.flowsim_resolves);
   // Only present when the incremental solver path ran: every golden-hashed
-  // scenario runs with incremental OFF, where the counter is 0 and the table
-  // stays byte-identical to the pre-incremental format.
+  // scenario runs with incremental OFF, where both counters are 0 and the
+  // table stays byte-identical to the pre-incremental format.
   if (delta.solver_relaxations != 0) {
     row("solver_relaxations", delta.solver_relaxations);
+  }
+  if (delta.solver_verifications != 0) {
+    row("solver_verifications", delta.solver_verifications);
   }
   row("allocs_callable_spill", delta.allocs_callable_spill);
   row("allocs_event_queue", delta.allocs_event_queue);

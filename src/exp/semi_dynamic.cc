@@ -268,8 +268,9 @@ void Driver::apply_event() {
     do_start = rng_.uniform() < 0.5;
   }
 
+  int changed = 0;
   if (do_start) {
-    for (int k = 0; k < batch && !inactive_.empty(); ++k) {
+    for (; changed < batch && !inactive_.empty(); ++changed) {
       const std::size_t pick = rng_.index(inactive_.size());
       const std::size_t slot_index = inactive_[pick];
       inactive_[pick] = inactive_.back();
@@ -278,13 +279,16 @@ void Driver::apply_event() {
     }
   } else {
     // Stop random active slots, never the traced one (which stays active).
-    for (int k = 0; k < batch && active_.size() > 1; ++k) {
+    for (; changed < batch && active_.size() > 1; ++changed) {
       std::size_t pick = rng_.index(active_.size());
       if (active_[pick] == tracked_slot_) pick = (pick + 1) % active_.size();
       stop_slot(active_[pick]);
     }
   }
-  begin_measurement(/*record=*/true);
+  // An event that starts or stops nothing (the pool is empty, or only the
+  // traced flow is left) still waits out the settle, but is not measured:
+  // it would add a 0 us convergence time for a change that never happened.
+  begin_measurement(/*record=*/changed > 0);
 }
 
 void Driver::schedule_trace_sampler() {

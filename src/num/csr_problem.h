@@ -188,14 +188,25 @@ class CsrProblem {
   /// marginal_inverse together with its derivative in the price, for the
   /// tolerance-mode Newton price finder.  Closed-form kinds only (see
   /// closed_form()).  rate = (q/w)^(-1/alpha) gives d rate/d q =
-  /// (-1/alpha) * rate / q, which is -rate/q for alpha == 1.  The slope is 0
-  /// where the kMinPrice or kMaxRate clamp binds.  `rate` is computed the
-  /// same way as marginal_inverse.
+  /// (-1/alpha) * rate / q.  The slope is 0 where the kMinPrice or kMaxRate
+  /// clamp binds.
+  ///
+  /// alpha == 1 takes one division per term: inv = 1/q, rate = w * inv,
+  /// slope = -rate * inv.  For w == 1 that rate is bitwise marginal_inverse's
+  /// 1/(q/w); for other weights it may differ in the last bit, which is
+  /// harmless because only the Newton bracket and estimate read it — the
+  /// rates a solve reports come from marginal_inverse.  Other alphas compute
+  /// rate exactly as marginal_inverse does.
   RateSlope rate_and_slope(std::size_t flow, double price) const {
     const double q = std::max(price, kMinPrice);
-    const double rate = kind_[flow] == kReciprocal
-                            ? 1.0 / (q / weight_[flow])
-                            : std::pow(q / weight_[flow], neg_inv_alpha_[flow]);
+    if (kind_[flow] == kReciprocal) {
+      const double inv = 1.0 / q;
+      const double rate = weight_[flow] * inv;
+      if (!std::isfinite(rate) || rate >= kMaxRate) return {kMaxRate, 0.0};
+      if (price <= kMinPrice) return {rate, 0.0};
+      return {rate, -rate * inv};
+    }
+    const double rate = std::pow(q / weight_[flow], neg_inv_alpha_[flow]);
     if (!std::isfinite(rate) || rate >= kMaxRate) return {kMaxRate, 0.0};
     if (price <= kMinPrice) return {rate, 0.0};
     return {rate, neg_inv_alpha_[flow] * rate / q};
@@ -290,6 +301,15 @@ class NumWorkspace {
   std::vector<std::int32_t> worklist_;   // ring buffer, capacity num_links
   std::vector<std::uint8_t> in_queue_;   // per-link membership
   std::vector<std::int32_t> seed_;       // dirty links, capacity num_links
+
+  // Stale-link verification (tolerance mode): the stamp of each link's last
+  // relaxation, the stamp of the last relaxation that moved a price on each
+  // flow's path, the last stamp taken, and whether the previous solve left
+  // the stamps describing a converged state (see src/num/README.md).
+  std::vector<std::uint32_t> link_stamp_;
+  std::vector<std::uint32_t> flow_stamp_;
+  std::uint32_t stamp_clock_ = 0;
+  bool stamps_current_ = false;
 
   std::unique_ptr<util::WorkerPool> pool_;
 };

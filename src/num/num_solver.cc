@@ -34,6 +34,18 @@ struct SolverAccess {
     return ws.in_queue_;
   }
   static std::vector<std::int32_t>& seed(NumWorkspace& ws) { return ws.seed_; }
+  static std::vector<std::uint32_t>& link_stamp(NumWorkspace& ws) {
+    return ws.link_stamp_;
+  }
+  static std::vector<std::uint32_t>& flow_stamp(NumWorkspace& ws) {
+    return ws.flow_stamp_;
+  }
+  static std::uint32_t& stamp_clock(NumWorkspace& ws) {
+    return ws.stamp_clock_;
+  }
+  static bool& stamps_current(NumWorkspace& ws) {
+    return ws.stamps_current_;
+  }
   static std::unique_ptr<util::WorkerPool>& pool(NumWorkspace& ws) {
     return ws.pool_;
   }
@@ -97,10 +109,12 @@ double bisect_price(const Overloaded& overloaded, double warm_price,
 /// The tolerance-mode price finder: safeguarded Newton on the link's load
 /// equation  load(p) = sum_i x_i(base_i + p) = capacity,  which is
 /// decreasing and convex in p for alpha-fair utilities.  Each iteration is
-/// one row pass for load and d load/dp.
+/// one row pass for load and d load/dp; the caller hands in the first one,
+/// `at_p = load_slope(p)` at the start price p.  `warm` says p is the link's
+/// current price rather than a cold guess.
 ///
 ///  * The bracket [lo, hi] keeps load(lo) > capacity >= load(hi); hi starts
-///    unknown (infinite).  The caller has checked load(0) > capacity.
+///    unknown (infinite).  The caller has established load(0) > capacity.
 ///  * Every Newton step moves at least price_resolution toward the root, so
 ///    the iterate that lands within the resolution crosses it and closes the
 ///    bracket.  While load > 2 * capacity the step is at least a doubling
@@ -110,23 +124,28 @@ double bisect_price(const Overloaded& overloaded, double warm_price,
 ///  * It stops only when hi - lo <= price_resolution (or no double lies
 ///    strictly inside the bracket).  A small step alone proves nothing: far
 ///    left of the root Newton steps are ~p.
-///  * It returns the last Newton estimate when that lies in the closed
-///    bracket, else the midpoint.  The minimum step makes the crossing
+///  * A warm price the final bracket still holds is returned unchanged: it
+///    is certified like any point of the bracket, and a relaxation that
+///    leaves its price bitwise in place moves no path price, so it makes no
+///    other link stale (see the stale-link rule in solve).
+///  * Otherwise it returns the last Newton estimate when that lies in the
+///    closed bracket, else the midpoint.  The minimum step makes the crossing
 ///    iterate overshoot the root by ~price_resolution, so the midpoint sits
 ///    systematically ~price_resolution / 2 off it; the Newton estimate is off
 ///    by the square of the last step (the load is convex, so the tangent's
 ///    root lies just left of the true root).
 template <typename LoadSlope>
-double newton_price(const LoadSlope& load_slope, double capacity,
-                    double warm_price, double price_resolution) {
+double newton_price(const LoadSlope& load_slope, double capacity, double p,
+                    CsrProblem::RateSlope at_p, bool warm,
+                    double price_resolution) {
+  const double start = p;
   double lo = 0.0;
   double hi = std::numeric_limits<double>::infinity();
-  double p = warm_price > 0.0 ? warm_price : 1e-6;
   double newton = 0.0;
   // Bracketed steps are capped at the bisection's depth; the unbracketed
   // phase ends by crossing the root or by the divergence throw.
-  for (int bracketed = 0; bracketed < 100;) {
-    const auto [load, slope] = load_slope(p);
+  for (int bracketed = 0;;) {
+    const auto [load, slope] = at_p;
     const bool over = load > capacity;
     (over ? lo : hi) = p;
     newton = p - (load - capacity) / slope;  // NaN/inf when slope == 0
@@ -143,9 +162,11 @@ double newton_price(const LoadSlope& load_slope, double capacity,
       if (next == lo || next == hi) break;  // no double strictly inside
     }
     if (next > 1e30) throw std::logic_error("num::solve: price diverged");
-    if (!std::isinf(hi)) ++bracketed;
+    if (!std::isinf(hi) && ++bracketed == 100) break;
     p = next;
+    at_p = load_slope(p);
   }
+  if (warm && start >= lo && start <= hi) return start;
   return newton >= lo && newton <= hi ? newton : 0.5 * (lo + hi);
 }
 
@@ -166,11 +187,20 @@ double newton_price(const LoadSlope& load_slope, double capacity,
 ///
 /// The two finders share everything but the loop that picks the price: the
 /// load(0) complementary-slackness test, the path_price write-back and the
-/// change computation.
+/// change computation.  The Newton finder runs the load(0) test only when
+/// the warm price is not already over capacity (see below).
+///
+/// With a non-null `flow_stamp` (tolerance mode), a relaxation that moves
+/// the price writes `stamp` to every flow of the row: their path prices
+/// moved, which is what makes the flows' other links stale.  A Newton
+/// relaxation that keeps the price bitwise leaves the row's path prices as
+/// they are instead of re-rounding (path - p) + p; the bisection, the
+/// bit-exact reference, always writes them back.
 template <PriceFinder kFinder>
 double update_link(const CsrProblem& problem, std::size_t l,
                    std::vector<double>& prices,
                    std::vector<double>& path_price, std::vector<double>& base,
+                   std::uint32_t* flow_stamp, std::uint32_t stamp,
                    double price_resolution) {
   const auto flows = problem.link_active_flows(l);
   if (flows.empty()) {
@@ -205,10 +235,9 @@ double update_link(const CsrProblem& problem, std::size_t l,
     return false;
   };
 
-  double new_price;
-  if (!overloaded(0.0)) {
-    new_price = 0.0;  // under-loaded even for free: complementary slackness
-  } else if constexpr (kFinder == PriceFinder::kNewton) {
+  // A link under-loaded even for free gets price 0: complementary slackness.
+  double new_price = 0.0;
+  if constexpr (kFinder == PriceFinder::kNewton) {
     const auto load_slope = [&](double candidate) {
       CsrProblem::RateSlope sum{0.0, 0.0};
       for (const std::int32_t i : flows) {
@@ -219,15 +248,38 @@ double update_link(const CsrProblem& problem, std::size_t l,
       }
       return sum;
     };
-    new_price = newton_price(load_slope, capacity, old_price, price_resolution);
-  } else {
+    // The warm price's row pass comes first and doubles as Newton's first
+    // iterate.  The load never increases with the price, so a warm price
+    // already over capacity proves load(0) > capacity without that pass.
+    // At a zero warm price the load(0) test itself comes first (an idle link
+    // usually stays idle) and the search starts from 1e-6.
+    if (old_price > 0.0) {
+      const CsrProblem::RateSlope at_warm = load_slope(old_price);
+      if (at_warm.rate > capacity || overloaded(0.0)) {
+        new_price = newton_price(load_slope, capacity, old_price, at_warm,
+                                 /*warm=*/true, price_resolution);
+      }
+    } else if (overloaded(0.0)) {
+      new_price = newton_price(load_slope, capacity, 1e-6, load_slope(1e-6),
+                               /*warm=*/false, price_resolution);
+    }
+  } else if (overloaded(0.0)) {
     new_price = bisect_price(overloaded, old_price, price_resolution);
   }
 
   const double change = std::abs(new_price - old_price);
-  for (const std::int32_t i : flows) {
-    const auto fi = static_cast<std::size_t>(i);
-    path_price[fi] = base_of(fi) + new_price;
+  const bool moved = new_price != old_price;
+  if (flow_stamp != nullptr && moved) {
+    for (const std::int32_t i : flows) {
+      const auto fi = static_cast<std::size_t>(i);
+      path_price[fi] = base_of(fi) + new_price;
+      flow_stamp[fi] = stamp;
+    }
+  } else if (moved || kFinder == PriceFinder::kBisection) {
+    for (const std::int32_t i : flows) {
+      const auto fi = static_cast<std::size_t>(i);
+      path_price[fi] = base_of(fi) + new_price;
+    }
   }
   prices[l] = new_price;
   return change;
@@ -279,14 +331,32 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   const PriceFinder finder = tolerance_mode && problem.closed_form()
                                  ? PriceFinder::kNewton
                                  : PriceFinder::kBisection;
-  const auto relax = [&](std::size_t l) {
-    return finder == PriceFinder::kNewton
-               ? update_link<PriceFinder::kNewton>(problem, l, prices,
+
+  // Stale-link verification (tolerance mode; src/num/README.md, tier 2).
+  // Every relaxation stamps its link, and one that moves the price stamps
+  // the row's flows; stamps only grow, so "a flow stamped after the link's
+  // own last relaxation" is flow_stamp > link_stamp.
+  const bool stamped = tolerance_mode;
+  std::vector<std::uint32_t>& link_stamp = SolverAccess::link_stamp(workspace);
+  std::vector<std::uint32_t>& flow_stamp = SolverAccess::flow_stamp(workspace);
+  std::uint32_t& stamp_clock = SolverAccess::stamp_clock(workspace);
+  if (stamped) {
+    sized(link_stamp, num_links);
+    sized(flow_stamp, num_flows);
+  }
+  std::uint32_t* const flow_stamps = stamped ? flow_stamp.data() : nullptr;
+  const auto relax = [&](std::size_t l, std::uint32_t stamp) {
+    const double moved =
+        finder == PriceFinder::kNewton
+            ? update_link<PriceFinder::kNewton>(problem, l, prices, path_price,
+                                                base, flow_stamps, stamp,
+                                                price_resolution)
+            : update_link<PriceFinder::kBisection>(problem, l, prices,
                                                    path_price, base,
-                                                   price_resolution)
-               : update_link<PriceFinder::kBisection>(problem, l, prices,
-                                                      path_price, base,
-                                                      price_resolution);
+                                                   flow_stamps, stamp,
+                                                   price_resolution);
+    if (stamped) link_stamp[l] = stamp;  // only once the relaxation is done
+    return moved;
   };
 
   // Incremental re-solve is sound only when the workspace's stored
@@ -345,15 +415,68 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
     sized(change, num_links);
   }
 
-  // One full sweep over every link; returns the max price change.  Serial
-  // natural order and wave-parallel execution compute the same bits (see
-  // csr_problem.h).
-  const auto full_sweep = [&]() {
+  // Whether the next sweep must relax every link.  Full solves relax every
+  // link on every sweep.  An incremental tolerance-mode solve reads the
+  // stamps in its verification sweeps, unless the previous solve left them
+  // stale (it did not stamp, or did not converge); a capped worklist or a
+  // stamp-clock restart also forces the next sweep full.
+  const bool verify_stale = incremental && stamped;
+  bool every_link =
+      !verify_stale || !SolverAccess::stamps_current(workspace);
+  // Only a solve that returns vouches for the stamps (see the end).
+  SolverAccess::stamps_current(workspace) = false;
+
+  // Reserves `n` consecutive stamps and returns the first.  When they would
+  // wrap the 32-bit clock, every stored stamp restarts from zero, which
+  // forgets which links are clean: the next sweep relaxes every link.
+  const auto take_stamps = [&](std::uint32_t n) {
+    if (stamp_clock > std::numeric_limits<std::uint32_t>::max() - n) {
+      std::fill(link_stamp.begin(), link_stamp.end(), std::uint32_t{0});
+      std::fill(flow_stamp.begin(), flow_stamp.end(), std::uint32_t{0});
+      stamp_clock = 0;
+      every_link = true;
+    }
+    const std::uint32_t first = stamp_clock + 1;
+    stamp_clock += n;
+    return first;
+  };
+
+  // A link is stale when a relaxation moved the path price of one of its
+  // active flows after the link's own last relaxation.  A clean link
+  // re-relaxed from its own output would move by at most 2 *
+  // price_resolution < tolerance, so skipping it keeps the verdict a full
+  // sweep would give.
+  const auto stale = [&](std::size_t l) {
+    const std::uint32_t last = link_stamp[l];
+    for (const std::int32_t f : problem.link_active_flows(l)) {
+      if (flow_stamp[static_cast<std::size_t>(f)] > last) return true;
+    }
+    return false;
+  };
+
+  // One sweep: every link, or only the stale ones; returns the max price
+  // change and counts the links it relaxed in `swept`.  Link l gets stamp
+  // first + l whatever the execution order, and reads only stamps its
+  // conflicting links write, so serial natural order and wave-parallel
+  // execution compute the same bits (see csr_problem.h).
+  std::int64_t swept = 0;
+  const auto sweep = [&]() {
+    const std::uint32_t first =
+        stamped ? take_stamps(static_cast<std::uint32_t>(num_links)) : 0;
+    const bool all = every_link;
+    // Skipped links report -1, below every real change.
+    const auto visit = [&](std::size_t l) {
+      if (!all && !stale(l)) return -1.0;
+      return relax(l, first + static_cast<std::uint32_t>(l));
+    };
     double max_price_change = 0.0;
     if (pool == nullptr) {
       // Reference spec: natural link order.
       for (std::size_t l = 0; l < num_links; ++l) {
-        max_price_change = std::max(max_price_change, relax(l));
+        const double moved = visit(l);
+        if (moved < 0.0) continue;
+        ++swept;
+        max_price_change = std::max(max_price_change, moved);
       }
     } else {
       // Wave execution: per the schedule's construction every link's inputs
@@ -372,13 +495,15 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
               static_cast<std::size_t>(chunks);
           for (std::size_t k = begin; k < end; ++k) {
             const auto l = static_cast<std::size_t>(wave[k]);
-            change[l] = relax(l);
+            change[l] = visit(l);
           }
         });
       }
       // max is exact and order-independent, so reducing after the sweep
       // matches the serial running max bit-for-bit.
       for (std::size_t l = 0; l < num_links; ++l) {
+        if (change[l] < 0.0) continue;
+        ++swept;
         max_price_change = std::max(max_price_change, change[l]);
       }
     }
@@ -428,7 +553,9 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       head = (head + 1) % num_links;
       --queued;
       in_queue[static_cast<std::size_t>(l)] = 0;
-      const double delta = relax(static_cast<std::size_t>(l));
+      // The worklist is serial, so its pop count orders its stamps.
+      const std::uint32_t stamp = stamped ? take_stamps(1) : 0;
+      const double delta = relax(static_cast<std::size_t>(l), stamp);
       ++stats.relaxations;
       if (delta >= options.tolerance) {
         // The move perturbed the path price of every active flow through l;
@@ -442,32 +569,29 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
         }
       }
     }
-    // A capped cascade leaves links queued; clear their membership so the
-    // next solve can enqueue them (the sweeps below cover them this time).
+    // A capped cascade leaves links queued, some of them dirty links never
+    // relaxed since their rows changed: the first verification sweep must
+    // cover every link.  Clear their membership so the next solve can
+    // enqueue them.
+    if (queued > 0) every_link = true;
     for (; queued > 0; --queued, head = (head + 1) % num_links) {
       in_queue[static_cast<std::size_t>(ring[head])] = 0;
     }
-    // Verification: full sweeps until quiescent.  Normally the first sweep
-    // confirms convergence; if the worklist missed coupling (or hit the
-    // cap), these sweeps are the correctness backstop.
-    for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-      const double max_price_change = full_sweep();
-      stats.sweeps = sweep + 1;
-      if (max_price_change < options.tolerance) {
-        stats.converged = true;
-        break;
-      }
-    }
-  } else {
-    for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-      const double max_price_change = full_sweep();
-      stats.sweeps = sweep + 1;
-      if (max_price_change < options.tolerance) {
-        stats.converged = true;
-        break;
-      }
+  }
+  // Sweeps until quiescent.  After a worklist these are the verification
+  // sweeps, the correctness backstop: normally the first confirms
+  // convergence; if the worklist missed coupling (or hit the cap), later
+  // ones repair it.
+  for (int s = 0; s < options.max_sweeps; ++s) {
+    const double max_price_change = sweep();
+    every_link = !verify_stale;
+    stats.sweeps = s + 1;
+    if (max_price_change < options.tolerance) {
+      stats.converged = true;
+      break;
     }
   }
+  if (incremental) stats.verifications = swept;
 
   sized(rates, num_flows);
   if (incremental) {
@@ -495,6 +619,7 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   }
 
   SolverAccess::warm(workspace) = true;
+  SolverAccess::stamps_current(workspace) = stamped && stats.converged;
   problem.mark_solved();
   SolverAccess::bound_problem(workspace) = &problem;
   SolverAccess::bound_epoch(workspace) = problem.epoch();
@@ -503,6 +628,8 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
   ++counters.solver_solves;
   counters.solver_sweeps += static_cast<std::uint64_t>(stats.sweeps);
   counters.solver_relaxations += static_cast<std::uint64_t>(stats.relaxations);
+  counters.solver_verifications +=
+      static_cast<std::uint64_t>(stats.verifications);
   counters.solver_wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)

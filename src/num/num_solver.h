@@ -54,7 +54,10 @@ struct NumSolverOptions {
   /// It also selects tolerance mode for the whole solve, fallback included:
   /// each link's price search stops at tolerance * 1e-2 even when cold, and
   /// uses a safeguarded Newton step instead of bisection when every
-  /// utility is alpha-fair (see src/num/README.md, tier 2).
+  /// utility is alpha-fair.  In tolerance mode the verification sweeps
+  /// re-relax only *stale* links: those holding a flow whose path price a
+  /// relaxation moved since the link's own last relaxation (see
+  /// src/num/README.md, tier 2).
   bool incremental = false;
 };
 
@@ -65,6 +68,10 @@ struct SolveStats {
   double max_violation = 0.0;
   /// Worklist pops performed by the incremental path (0 for full solves).
   std::int64_t relaxations = 0;
+  /// Links relaxed by the incremental path's verification sweeps (0 for
+  /// full solves): every link in a full sweep, only the stale ones
+  /// otherwise.
+  std::int64_t verifications = 0;
 };
 
 /// Runs Gauss-Seidel dual sweeps on the compiled problem.  Results land in

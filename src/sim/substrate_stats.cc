@@ -20,6 +20,7 @@ SubstrateStats SubstrateStats::operator-(const SubstrateStats& rhs) const {
   out.solver_solves = solver_solves - rhs.solver_solves;
   out.solver_sweeps = solver_sweeps - rhs.solver_sweeps;
   out.solver_relaxations = solver_relaxations - rhs.solver_relaxations;
+  out.solver_verifications = solver_verifications - rhs.solver_verifications;
   out.solver_wall_ns = solver_wall_ns - rhs.solver_wall_ns;
   out.allocs_solver_workspace =
       allocs_solver_workspace - rhs.allocs_solver_workspace;
@@ -45,6 +46,7 @@ SubstrateStats& SubstrateStats::operator+=(const SubstrateStats& rhs) {
   solver_solves += rhs.solver_solves;
   solver_sweeps += rhs.solver_sweeps;
   solver_relaxations += rhs.solver_relaxations;
+  solver_verifications += rhs.solver_verifications;
   solver_wall_ns += rhs.solver_wall_ns;
   allocs_solver_workspace += rhs.allocs_solver_workspace;
   flowsim_epochs += rhs.flowsim_epochs;

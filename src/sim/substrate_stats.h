@@ -58,6 +58,9 @@ struct SubstrateStats {
   /// incremental path actually ran (golden hashes with incremental OFF are
   /// untouched).
   std::uint64_t solver_relaxations = 0;
+  /// Links relaxed by the incremental path's verification sweeps; 0 for
+  /// full solves, like solver_relaxations.
+  std::uint64_t solver_verifications = 0;
   std::uint64_t solver_wall_ns = 0;
   std::uint64_t allocs_solver_workspace = 0;
 

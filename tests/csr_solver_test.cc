@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -690,6 +691,159 @@ TEST(CsrSolverTest, CappedCascadeLeavesLinksEnqueueable) {
   EXPECT_GT(stats.relaxations, 0);
   EXPECT_LT(stats.max_violation, 1e-6);
   EXPECT_LT(kkt_residual(csr, ws.rates(), ws.prices()), 1e-6);
+}
+
+/// Two components that share no link, with interleaved link ids so every
+/// sweep and wave visits them alternately: A = links {0, 2}, B = links
+/// {1, 3, 4, 5}.  Flow 0 (A, two hops) is the one the tests churn.
+struct TwoComponents {
+  static constexpr std::size_t kChurned = 0;
+  static constexpr std::size_t kLinksA[] = {0, 2};
+  static constexpr std::size_t kLinksB[] = {1, 3, 4, 5};
+  AlphaFairUtility unit{1.0};
+  AlphaFairUtility heavy{1.0, 4.0};
+  NumProblem problem;
+
+  TwoComponents() {
+    problem.capacities = {10.0, 30.0, 20.0, 15.0, 25.0, 40.0};
+    problem.utilities = {&heavy, &unit, &unit, &unit,
+                         &unit,  &unit, &heavy, &unit};
+    problem.flow_links = {{0, 2}, {0}, {2},    {1, 3},
+                          {3, 4}, {4, 5}, {1, 5}, {1, 3, 4}};
+  }
+};
+
+/// Re-solves without churn until a solve finds no stale link (bounded).
+/// From then on every link's price is its own relaxation's output.
+::testing::AssertionResult settle(const CsrProblem& csr, NumWorkspace& ws,
+                                  const NumSolverOptions& options) {
+  for (int round = 0; round < 10; ++round) {
+    const SolveStats stats = solve(csr, ws, options);
+    if (!stats.converged) return ::testing::AssertionFailure() << "diverged";
+    if (stats.verifications == 0 && stats.relaxations == 0) {
+      return ::testing::AssertionSuccess();
+    }
+  }
+  return ::testing::AssertionFailure() << "still verifying after 10 solves";
+}
+
+// Stale-link verification: churn in component A moves no path price of
+// component B, so the incremental solve relaxes no link of B — B's prices
+// and rates stay bitwise as they were — and the verification counter only
+// covers A's links.  Serial and parallel(4) agree bitwise, counters too.
+TEST(CsrSolverTest, VerificationSkipsComponentTheChurnCannotReach) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const TwoComponents parts;
+    CsrProblem csr = CsrProblem::compile(parts.problem);
+    csr.set_active(TwoComponents::kChurned, false);
+    NumWorkspace ws;
+    NumSolverOptions options;
+    options.incremental = true;
+    options.policy = ExecutionPolicy::parallel(threads);
+    ASSERT_TRUE(solve(csr, ws, options).converged);
+    // A solve with nothing changed and nothing stale does no work at all.
+    ASSERT_TRUE(settle(csr, ws, options));
+
+    const std::vector<double> prices(ws.prices().begin(), ws.prices().end());
+    const std::vector<double> rates(ws.rates().begin(), ws.rates().end());
+    const std::uint64_t before = sim::substrate_stats().solver_verifications;
+    csr.set_active(TwoComponents::kChurned, true);
+    const SolveStats stats = solve(csr, ws, options);
+    ASSERT_TRUE(stats.converged);
+    EXPECT_GT(stats.relaxations, 0);
+    EXPECT_EQ(sim::substrate_stats().solver_verifications - before,
+              static_cast<std::uint64_t>(stats.verifications));
+    // The cascade's last sub-tolerance moves leave both of A's links stale
+    // and nothing else: one verification sweep relaxes exactly those two,
+    // where a full sweep would relax all six.
+    EXPECT_EQ(stats.sweeps, 1);
+    EXPECT_EQ(stats.verifications,
+              static_cast<std::int64_t>(std::size(TwoComponents::kLinksA)));
+    for (const std::size_t l : TwoComponents::kLinksB) {
+      const double a = ws.prices()[l];
+      EXPECT_EQ(std::memcmp(&a, &prices[l], sizeof(double)), 0) << "link " << l;
+    }
+    for (const std::size_t f : {3u, 4u, 5u, 6u, 7u}) {
+      const double a = ws.rates()[f];
+      EXPECT_EQ(std::memcmp(&a, &rates[f], sizeof(double)), 0) << "flow " << f;
+    }
+    for (const std::size_t l : TwoComponents::kLinksA) {
+      EXPECT_NE(ws.prices()[l], prices[l]) << "link " << l;
+    }
+    EXPECT_LT(kkt_residual(csr, ws.rates(), ws.prices()), 1e-6);
+  }
+
+  // The two thread counts must agree bitwise on every solve's counters and
+  // output (the stamps derive from sweep and link id, not execution order).
+  const TwoComponents parts;
+  CsrProblem serial_csr = CsrProblem::compile(parts.problem);
+  CsrProblem parallel_csr = CsrProblem::compile(parts.problem);
+  NumWorkspace serial_ws;
+  NumWorkspace parallel_ws;
+  NumSolverOptions serial;
+  serial.incremental = true;
+  NumSolverOptions parallel = serial;
+  parallel.policy = ExecutionPolicy::parallel(4);
+  for (int step = 0; step < 6; ++step) {
+    // Toggle A's two-hop flow, and every third step B's flow 6.
+    const std::size_t flow = step % 3 == 2 ? 6 : TwoComponents::kChurned;
+    const bool next = !serial_csr.active(flow);
+    serial_csr.set_active(flow, next);
+    parallel_csr.set_active(flow, next);
+    const SolveStats a = solve(serial_csr, serial_ws, serial);
+    const SolveStats b = solve(parallel_csr, parallel_ws, parallel);
+    EXPECT_EQ(a.relaxations, b.relaxations) << "step " << step;
+    EXPECT_EQ(a.verifications, b.verifications) << "step " << step;
+    EXPECT_EQ(a.sweeps, b.sweeps) << "step " << step;
+    EXPECT_TRUE(bitwise_equal(serial_ws.prices(), parallel_ws.prices()))
+        << "step " << step;
+    EXPECT_TRUE(bitwise_equal(serial_ws.rates(), parallel_ws.rates()))
+        << "step " << step;
+  }
+}
+
+// The stamps can only vouch for links that a converged, uncapped solve
+// left clean.  After a worklist stopped by its relaxation cap, and after a
+// solve that max_sweeps left unconverged, the next verification sweep must
+// relax every non-empty link — component B included, though the churn
+// never reached it.
+TEST(CsrSolverTest, VerificationCoversEveryLinkAfterCapOrNonConvergence) {
+  const TwoComponents parts;
+  CsrProblem csr = CsrProblem::compile(parts.problem);
+  csr.set_active(TwoComponents::kChurned, false);
+  NumWorkspace ws;
+  NumSolverOptions options;
+  options.incremental = true;
+  ASSERT_TRUE(solve(csr, ws, options).converged);
+  ASSERT_TRUE(settle(csr, ws, options));
+  std::int64_t non_empty = 0;
+  for (std::size_t l = 0; l < csr.num_links(); ++l) {
+    if (!csr.link_active_flows(l).empty()) ++non_empty;
+  }
+
+  // Cap of 1 * 6 relaxations: the heavy two-hop flow starts a cascade
+  // between links 0 and 2 that runs longer, and one sweep cannot settle it.
+  csr.set_active(TwoComponents::kChurned, true);
+  NumSolverOptions capped = options;
+  capped.max_sweeps = 1;
+  const SolveStats cut = solve(csr, ws, capped);
+  EXPECT_EQ(cut.relaxations, static_cast<std::int64_t>(csr.num_links()));
+  EXPECT_EQ(cut.sweeps, 1);
+  EXPECT_GE(cut.verifications, non_empty);
+  ASSERT_FALSE(cut.converged);
+
+  // Nothing changed since, so the worklist is empty: only the previous
+  // solve's non-convergence can make this verification sweep full.
+  const SolveStats after = solve(csr, ws, capped);
+  EXPECT_EQ(after.relaxations, 0);
+  EXPECT_EQ(after.sweeps, 1);
+  EXPECT_GE(after.verifications, non_empty);
+  ASSERT_TRUE(solve(csr, ws, options).converged);
+  EXPECT_LT(kkt_residual(csr, ws.rates(), ws.prices()), 1e-6);
+
+  // Converged again: the stamps are trusted once more.
+  ASSERT_TRUE(settle(csr, ws, options));
 }
 
 // set_active is a row patch: the solve over the active subset must be the

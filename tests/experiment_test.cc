@@ -147,6 +147,30 @@ TEST(SemiDynamicTest, StopEventsNeverStopTheTracedFlow) {
   }
 }
 
+// The first event stops the one untraced flow; the next two find only the
+// traced flow active and stop nothing.  Such events still record the
+// tracked flow's expected step, but must not count as measured events or
+// add samples to the convergence-time CDF.
+TEST(SemiDynamicTest, EventsThatChangeNoFlowAreNotMeasured) {
+  SemiDynamicOptions options;
+  options.scheme = transport::Scheme::kNumFabric;
+  options.topology.hosts_per_leaf = 2;
+  options.topology.num_leaves = 2;
+  options.topology.num_spines = 1;
+  options.num_paths = 8;
+  options.initial_active = 2;
+  options.flows_per_event = 3;
+  options.num_events = 3;
+  options.min_active = 0;
+  options.max_active = 3;  // 2 + 3 > 3: every event is a stop event
+  const SemiDynamicResult result = run_semi_dynamic(options);
+  EXPECT_EQ(result.events_measured, 1);
+  EXPECT_LE(result.events_converged, 1);
+  EXPECT_EQ(result.convergence_times_us.size(),
+            static_cast<std::size_t>(result.events_converged));
+  EXPECT_EQ(result.expected_steps.size(), 4u);  // initial + 3 events
+}
+
 TEST(TrafficExperimentTest, ParsePatternRoundTrips) {
   for (const TrafficPattern pattern :
        {TrafficPattern::kIncast, TrafficPattern::kPermutation,

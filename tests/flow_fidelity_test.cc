@@ -7,8 +7,8 @@
 //  * VirtualLeafSpine path/capacity arithmetic;
 //  * mega-fct mini-run sanity and the scenario layer's scheme gating;
 //  * incremental (tier-2) re-solves vs full re-solves: FCTs within one grid
-//    interval and a solver-tolerance mean band, bit-identical across solver
-//    thread counts.
+//    interval and a solver-tolerance mean band in grid mode, within 1e-5
+//    relative in exact mode, bit-identical across solver thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -399,6 +399,48 @@ TEST(FlowFidelityCrossValidation, DynamicWorkloadIncrementalMatchesFull) {
     EXPECT_LE(std::abs(inc.flows[i].fct_seconds - full.flows[i].fct_seconds),
               resolve + 1e-9)
         << "flow " << i;
+  }
+}
+
+// The same ON-vs-OFF comparison in exact mode (re-solve at every arrival
+// and departure), on a scaled-down flow-exact shape: web-search flows at
+// load 0.3 on 16x8x4.  Incremental re-solves verify only the links whose
+// inputs moved; every FCT must stay within 1e-5 relative of the full
+// solves' (the largest gap seen here is 2.9e-6), with the same incomplete
+// count, and the incremental output must not depend on the thread count.
+TEST(FlowFidelityCrossValidation, ExactModeIncrementalMatchesFull) {
+  exp::DynamicWorkloadOptions options;
+  options.topology.hosts_per_leaf = 16;
+  options.topology.num_leaves = 8;
+  options.topology.num_spines = 4;
+  options.flow_count = 500;
+  options.load = 0.3;
+  options.seed = 5;
+
+  const exp::DynamicWorkloadResult full =
+      exp::run_dynamic_workload_flow(options, 0.0, /*incremental=*/false);
+  const exp::DynamicWorkloadResult inc =
+      exp::run_dynamic_workload_flow(options, 0.0, /*incremental=*/true);
+  options.solver_threads = 4;
+  const exp::DynamicWorkloadResult inc4 =
+      exp::run_dynamic_workload_flow(options, 0.0, /*incremental=*/true);
+
+  EXPECT_EQ(inc.incomplete, full.incomplete);
+  ASSERT_EQ(inc.flows.size(), full.flows.size());
+  ASSERT_GT(inc.flows.size(), 400u);
+  for (std::size_t i = 0; i < full.flows.size(); ++i) {
+    const double a = inc.flows[i].fct_seconds;
+    const double b = full.flows[i].fct_seconds;
+    EXPECT_LE(std::abs(a - b), 1e-5 * b) << "flow row " << i;
+  }
+
+  ASSERT_EQ(inc4.flows.size(), inc.flows.size());
+  EXPECT_EQ(inc4.incomplete, inc.incomplete);
+  for (std::size_t i = 0; i < inc.flows.size(); ++i) {
+    EXPECT_EQ(inc4.flows[i].fct_seconds, inc.flows[i].fct_seconds)
+        << "flow row " << i;
+    EXPECT_EQ(inc4.flows[i].ideal_rate_bps, inc.flows[i].ideal_rate_bps)
+        << "flow row " << i;
   }
 }
 
