@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "exp/bwfunc_experiment.h"
 #include "exp/common.h"
@@ -12,6 +16,7 @@
 #include "exp/dynamic_workload.h"
 #include "exp/semi_dynamic.h"
 #include "exp/traffic_experiment.h"
+#include "net/routing.h"
 
 namespace numfabric::exp {
 namespace {
@@ -39,6 +44,90 @@ TEST(CommonTest, ScaleFromEnvDefaultsQuick) {
   EXPECT_TRUE(full.full);
   EXPECT_EQ(full.num_paths, 1000);
   EXPECT_EQ(full.num_events, 100);
+}
+
+std::vector<int> host_nodes_of(const net::FabricGraph& graph) {
+  std::vector<int> hosts;
+  for (int n = 0; n < graph.num_nodes(); ++n) {
+    if (graph.nodes()[static_cast<std::size_t>(n)].kind ==
+        net::GraphNodeKind::kHost) {
+      hosts.push_back(n);
+    }
+  }
+  return hosts;
+}
+
+// pair_paths must hand out, path by path and in order, exactly what routing
+// the two hosts directly would: the complete shortest-path set on a
+// leaf-spine, the k-shortest table on a jellyfish.  Every ECMP pick, golden
+// and CSV depends on that order.
+TEST(CommonTest, PairPathsMatchHostLevelEnumeration) {
+  const auto expect_same = [](BuiltFabric& built, const std::string& label) {
+    const std::vector<int> hosts = host_nodes_of(built.graph);
+    for (const int src : hosts) {
+      for (const int dst : hosts) {
+        if (src == dst) continue;
+        const auto expected =
+            built.jellyfish
+                ? net::k_shortest_paths(built.graph, src, dst,
+                                        static_cast<std::size_t>(built.k_paths))
+                : net::all_shortest_paths(built.graph, src, dst);
+        const auto& paths = pair_paths(built, src, dst);
+        ASSERT_EQ(paths.size(), expected.size())
+            << label << " pair " << src << "->" << dst;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(paths[i], expected[i])
+              << label << " pair " << src << "->" << dst << " path " << i;
+        }
+      }
+    }
+  };
+  for (const auto& [h, l, s] : {std::tuple{2, 2, 1}, std::tuple{4, 4, 2},
+                                std::tuple{16, 8, 4}, std::tuple{16, 8, 16}}) {
+    BuiltFabric built = plan_fabric(
+        {.hosts_per_leaf = h, .num_leaves = l, .num_spines = s}, std::nullopt,
+        0);
+    expect_same(built, std::to_string(h) + "x" + std::to_string(l) + "x" +
+                           std::to_string(s));
+  }
+  const net::JellyfishOptions jellyfish[] = {
+      {.switches = 6, .ports = 3, .hosts = 8, .seed = 1},
+      {.switches = 8, .ports = 3, .hosts = 16, .seed = 2},
+      {.switches = 16, .ports = 4, .hosts = 32, .seed = 1}};
+  for (const net::JellyfishOptions& jf : jellyfish) {
+    for (const int k : {1, 4, 8, 16}) {
+      BuiltFabric built = plan_fabric({}, jf, k);
+      expect_same(built, "jellyfish:" + std::to_string(jf.switches) + "," +
+                             std::to_string(jf.ports) + "," +
+                             std::to_string(jf.hosts) + " k=" +
+                             std::to_string(k));
+    }
+  }
+}
+
+TEST(CommonTest, PairPathsSameTorPairIsUplinkDownlinkAndSelfPairThrows) {
+  BuiltFabric leaf_spine = plan_fabric(
+      {.hosts_per_leaf = 4, .num_leaves = 4, .num_spines = 2}, std::nullopt,
+      0);
+  // Jellyfish hosts hang off switch i % switches: h0 and h8 share sw0.
+  BuiltFabric jellyfish = plan_fabric(
+      {}, net::JellyfishOptions{.switches = 8, .ports = 3, .hosts = 16,
+                                .seed = 2},
+      16);
+  for (BuiltFabric* built : {&leaf_spine, &jellyfish}) {
+    const std::vector<int> hosts = host_nodes_of(built->graph);
+    const int a = hosts[0];
+    const int b = hosts[built->jellyfish ? 8 : 1];
+    ASSERT_EQ(built->graph.link_dst(built->graph.host_uplink(a)),
+              built->graph.link_dst(built->graph.host_uplink(b)));
+    const auto& paths = pair_paths(*built, a, b);
+    ASSERT_EQ(paths.size(), 1u);
+    EXPECT_EQ(paths[0],
+              (std::vector<int>{
+                  built->graph.host_uplink(a),
+                  net::FabricGraph::reverse(built->graph.host_uplink(b))}));
+    EXPECT_THROW(pair_paths(*built, a, a), std::invalid_argument);
+  }
 }
 
 TEST(CommonTest, WindowRateComputesGoodput) {

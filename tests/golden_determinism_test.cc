@@ -242,7 +242,10 @@ TEST(GoldenDeterminismTest, FlowFidelitySweepIsJobCountInvariant) {
 //    FCT comparison, Fig. 8 resource pooling (which reads hosts_per_leaf /
 //    leaves / spines, not topology=), background-burst, and rate-timeseries
 //    under DCTCP (the max-min target branch; the scheme comes from the run
-//    context).
+//    context);
+//  * routes with more than one path per host pair, which a 2x2x1 fabric
+//    never has: websearch-fct on a jellyfish at both fidelities, mega-fct on
+//    a jellyfish (k = 4), and the flow-fidelity permutation on two spines.
 TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
   struct FixedPoint {
     const char* scenario;
@@ -290,6 +293,21 @@ TEST(GoldenDeterminismTest, FixedPointsMatchGoldens) {
         {"min_active", "4"}, {"max_active", "8"}, {"events", "2"}},
        "288ece2f27d99b61",
        transport::Scheme::kDctcp},
+      {"websearch-fct",
+       {{"topology", "jellyfish:6,3,8"}, {"fidelity", "packet"},
+        {"flows", "40"}, {"loads", "0.5"}, {"horizon_ms", "300"}},
+       "93cdfe6813a8e65b"},
+      {"websearch-fct",
+       {{"topology", "jellyfish:6,3,8"}, {"fidelity", "flow"},
+        {"flows", "40"}, {"loads", "0.5"}, {"horizon_ms", "300"}},
+       "b06447f8d3afc7d8"},
+      {"mega-fct",
+       {{"topology", "jellyfish:6,3,8"}, {"concurrent", "500"},
+        {"resolve_us", "500"}, {"horizon_s", "10"}, {"k_paths", "4"}},
+       "860e1d4df650711"},
+      {"permutation",
+       {{"topology", "4x4x2"}, {"fidelity", "flow"}},
+       "af3d4fd96548b35c"},
   };
   register_builtin_scenarios();
   for (const FixedPoint& point : cases) {
