@@ -8,8 +8,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "exp/common.h"
 #include "exp/traffic_experiment.h"
 #include "flowsim/flow_sim_engine.h"
 #include "flowsim/virtual_fabric.h"
@@ -423,8 +426,8 @@ void BM_FlowSimEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSimEpoch)->Arg(1000)->Arg(100000);
 
-// Same steady-state epoch cost on a jellyfish: the path table comes from
-// k-shortest-paths over the random regular graph (VirtualFabric::from_graph)
+// Same steady-state epoch cost on a jellyfish: paths come from k-shortest
+// paths over the random regular graph (exp::pair_paths' ToR-pair table)
 // instead of the closed-form leaf-spine enumeration, but the per-epoch work
 // must stay the same shape — warm re-solve + O(active) advance.
 void BM_FlowSimEpochJellyfish(benchmark::State& state) {
@@ -436,23 +439,26 @@ void BM_FlowSimEpochJellyfish(benchmark::State& state) {
   jf.seed = 5;
   jf.host_rate_bps = 10e9;
   jf.switch_rate_bps = 40e9;
-  const flowsim::VirtualFabric fabric =
-      flowsim::VirtualFabric::from_graph(net::make_jellyfish(jf), 8);
+  exp::BuiltFabric fabric = exp::plan_fabric({}, jf, 8);
   static num::AlphaFairUtility utility(1.0);
   sim::Rng rng(11);
   const auto draws = workload::batch_index_flows(
-      fabric.hosts(), num_flows, workload::websearch_distribution(), rng);
+      static_cast<int>(fabric.host_nodes.size()), num_flows,
+      workload::websearch_distribution(), rng);
   std::vector<flowsim::FlowSimFlow> flows(draws.size());
   for (std::size_t i = 0; i < draws.size(); ++i) {
+    const exp::PairPaths paths = exp::pair_paths(
+        fabric, fabric.host_nodes[static_cast<std::size_t>(draws[i].src)],
+        fabric.host_nodes[static_cast<std::size_t>(draws[i].dst)]);
     flows[i] = {0.0, static_cast<double>(draws[i].size_bytes),
-                fabric.path(draws[i].src, draws[i].dst, i + 1), &utility};
+                paths[net::ecmp_index(paths.size(), i + 1)], &utility};
   }
   flowsim::FlowSimOptions options;
   options.resolve_interval_seconds = 1e-3;
   options.solver.tolerance = 1e-5;
   options.solver.incremental = true;
-  flowsim::FlowSimEngine engine(std::move(flows), fabric.capacities(),
-                                options);
+  flowsim::FlowSimEngine engine(std::move(flows),
+                                exp::graph_capacities(fabric.graph), options);
   std::int64_t epochs = 0;
   for (auto _ : state) {
     if (engine.finished()) engine.reset();
@@ -579,6 +585,47 @@ void BM_KShortestPaths(benchmark::State& state) {
   state.SetItemsProcessed(pairs);  // pairs/sec
 }
 BENCHMARK(BM_KShortestPaths)->Arg(4)->Arg(16);
+
+// The path pick of flow-exact's set-up: 10k Poisson web-search arrivals at
+// load 0.3 on the paper's 16x8x4 fabric, each host pair routed with
+// exp::pair_paths + net::ecmp_index and the pick copied out, as the runner
+// does.  Every iteration starts from a freshly planned fabric (outside the
+// timer), so the route table fills exactly as it does in one run.
+void BM_PairPaths(benchmark::State& state) {
+  const net::LeafSpineOptions shape{
+      .hosts_per_leaf = 16, .num_leaves = 8, .num_spines = 4};
+  sim::Simulator sim;
+  net::Topology topo(sim);
+  exp::BuiltFabric planned = exp::plan_fabric(shape, std::nullopt, 8);
+  exp::materialize_fabric(planned, topo, net::drop_tail_factory());
+  sim::Rng rng(5);
+  const auto arrivals = workload::poisson_flows(
+      planned.mat.hosts, planned.host_rate_bps, 0.3,
+      workload::websearch_distribution(), 10000, rng);
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(arrivals.size());
+  for (const auto& arrival : arrivals) {
+    pairs.emplace_back(planned.host_node.at(arrival.pair.src),
+                       planned.host_node.at(arrival.pair.dst));
+  }
+  std::optional<exp::BuiltFabric> built;
+  std::int64_t picks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    built.emplace(exp::plan_fabric(shape, std::nullopt, 8));
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& paths =
+          exp::pair_paths(*built, pairs[i].first, pairs[i].second);
+      const std::vector<int> links =
+          paths[net::ecmp_index(paths.size(), i + 1)];
+      benchmark::DoNotOptimize(links.data());
+    }
+    picks += static_cast<std::int64_t>(pairs.size());
+  }
+  state.SetItemsProcessed(picks);  // picks/sec
+}
+BENCHMARK(BM_PairPaths);
 
 // The sharded parallel engine end to end: one permutation rate-mode
 // experiment (4-leaf/16-host fabric, 3 ms simulated) per iteration at

@@ -1054,8 +1054,9 @@ void run_trace_replay_scenario(RunContext& ctx) {
 
 // ---------------------------------------------------------------------------
 // mega-fct: >= 10^5 concurrent flows through the flow-fluid engine on a
-// virtual (index-arithmetic) leaf-spine.  Flow-fidelity only by construction:
-// the packet substrate cannot represent this scale.
+// virtual (index-arithmetic) leaf-spine, or on a jellyfish parsed like every
+// other scenario's.  Flow-fidelity only by construction: the packet
+// substrate cannot represent this scale.
 // ---------------------------------------------------------------------------
 
 void run_mega_fct_scenario(RunContext& ctx) {
@@ -1074,24 +1075,9 @@ void run_mega_fct_scenario(RunContext& ctx) {
   const PresetDefaults preset = preset_defaults(preset_param(ctx));
   const std::string shape = ctx.options.get("topology", "32x32x8");
   if (shape.rfind("jellyfish:", 0) == 0) {
-    net::JellyfishOptions jf;
-    char trailing = 0;
-    if (std::sscanf(shape.c_str(), "jellyfish:%d,%d,%d%c", &jf.switches,
-                    &jf.ports, &jf.hosts, &trailing) != 3 ||
-        jf.switches < 1 || jf.ports < 1 || jf.hosts < 1) {
-      throw std::invalid_argument(
-          "bad topology '" + shape +
-          "' (expected jellyfish:switches,ports,hosts or HxLxS)");
-    }
-    jf.seed = static_cast<std::uint64_t>(ctx.options.get_int("jf_seed", 1));
-    jf.host_rate_bps =
-        ctx.options.get_double("host_gbps", preset.host_gbps) * 1e9;
-    jf.switch_rate_bps =
-        ctx.options.get_double("spine_gbps", preset.spine_gbps) * 1e9;
-    options.jellyfish = jf;
-    const std::int64_t k = ctx.options.get_int("k_paths", 8);
-    if (k < 1) throw std::invalid_argument("k_paths must be >= 1");
-    options.k_paths = static_cast<int>(k);
+    const FabricChoice fab = fabric_choice(ctx, exp::scale_from_env());
+    options.jellyfish = fab.jellyfish;
+    options.k_paths = fab.k_paths;
   } else {
     char trailing = 0;
     if (std::sscanf(shape.c_str(), "%dx%dx%d%c", &options.fabric.hosts_per_leaf,

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "net/routing.h"
 #include "num/utility.h"
@@ -37,6 +38,22 @@ BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
     fabric.host_rate_bps = leaf_spine.host_rate_bps;
     fabric.tier1_switches = leaf_spine.num_leaves;
   }
+  const net::FabricGraph& graph = fabric.graph;
+  std::vector<int> switch_tor(static_cast<std::size_t>(graph.num_nodes()), -1);
+  fabric.node_tor.assign(static_cast<std::size_t>(graph.num_nodes()), -1);
+  for (int n = 0; n < graph.num_nodes(); ++n) {
+    if (graph.nodes()[static_cast<std::size_t>(n)].kind !=
+        net::GraphNodeKind::kHost) {
+      continue;
+    }
+    int& tor = switch_tor[static_cast<std::size_t>(
+        graph.link_dst(graph.host_uplink(n)))];
+    if (tor < 0) tor = fabric.tors++;
+    fabric.node_tor[static_cast<std::size_t>(n)] = tor;
+    fabric.host_nodes.push_back(n);
+  }
+  fabric.core_paths.resize(static_cast<std::size_t>(fabric.tors) *
+                           static_cast<std::size_t>(fabric.tors));
   return fabric;
 }
 
@@ -44,32 +61,59 @@ void materialize_fabric(BuiltFabric& fabric, net::Topology& topo,
                         const net::QueueFactory& edge_queue,
                         const net::QueueFactory& core_queue) {
   fabric.mat = topo.materialize(fabric.graph, edge_queue, core_queue);
-  fabric.host_node.reserve(fabric.mat.hosts.size());
-  int host_index = 0;
-  for (int n = 0; n < fabric.graph.num_nodes(); ++n) {
-    if (fabric.graph.nodes()[static_cast<std::size_t>(n)].kind ==
-        net::GraphNodeKind::kHost) {
-      fabric.host_node[fabric.mat.hosts[static_cast<std::size_t>(host_index++)]] = n;
-    }
+  fabric.host_node.reserve(fabric.host_nodes.size());
+  for (std::size_t i = 0; i < fabric.host_nodes.size(); ++i) {
+    fabric.host_node[fabric.mat.hosts[i]] = fabric.host_nodes[i];
   }
 }
 
-const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
-                                                int src_node, int dst_node) {
-  auto [it, fresh] = fabric.path_cache.try_emplace({src_node, dst_node});
-  if (fresh) {
-    it->second = fabric.jellyfish
-                     ? net::k_shortest_paths(
-                           fabric.graph, src_node, dst_node,
-                           static_cast<std::size_t>(fabric.k_paths))
-                     : net::all_shortest_paths(fabric.graph, src_node, dst_node);
-    if (it->second.empty()) {
-      throw std::runtime_error(
-          "pair_paths: no route between graph nodes " +
-          std::to_string(src_node) + " and " + std::to_string(dst_node));
+std::vector<int> PairPaths::operator[](std::size_t i) const {
+  const std::vector<int>& core = (*cores)[i];
+  std::vector<int> path;
+  path.reserve(core.size() + 2);
+  path.push_back(uplink);
+  path.insert(path.end(), core.begin(), core.end());
+  path.push_back(downlink);
+  return path;
+}
+
+PairPaths pair_paths(BuiltFabric& fabric, int src_node, int dst_node) {
+  const auto tor_of = [&fabric](int node) {
+    return node >= 0 && node < fabric.graph.num_nodes()
+               ? fabric.node_tor[static_cast<std::size_t>(node)]
+               : -1;
+  };
+  const int src_tor = tor_of(src_node);
+  const int dst_tor = tor_of(dst_node);
+  if (src_tor < 0 || dst_tor < 0) {
+    throw std::invalid_argument("pair_paths: graph node is not a host");
+  }
+  if (src_node == dst_node) {
+    throw std::invalid_argument("pair_paths: src == dst");
+  }
+  const net::FabricGraph& graph = fabric.graph;
+  const int uplink = graph.host_uplink(src_node);
+  const int downlink = net::FabricGraph::reverse(graph.host_uplink(dst_node));
+  auto& cores = fabric.core_paths[static_cast<std::size_t>(src_tor) *
+                                      static_cast<std::size_t>(fabric.tors) +
+                                  static_cast<std::size_t>(dst_tor)];
+  if (cores.empty() && src_tor == dst_tor) cores.emplace_back();
+  if (cores.empty()) {
+    const int from = graph.link_dst(uplink);
+    const int to = graph.link_src(downlink);
+    cores = fabric.jellyfish
+                ? net::k_shortest_paths(graph, from, to,
+                                        static_cast<std::size_t>(fabric.k_paths))
+                : net::all_shortest_paths(graph, from, to);
+    if (cores.empty()) {
+      throw std::runtime_error("pair_paths: no route between switches '" +
+                               graph.nodes()[static_cast<std::size_t>(from)].name +
+                               "' and '" +
+                               graph.nodes()[static_cast<std::size_t>(to)].name +
+                               "'");
     }
   }
-  return it->second;
+  return {&cores, uplink, downlink};
 }
 
 net::Path to_packet_path(const BuiltFabric& fabric,

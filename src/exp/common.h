@@ -3,13 +3,11 @@
 // quick/full scale switch.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/shard_plan.h"
@@ -33,7 +31,8 @@ struct ShardSetup {
 /// runner consumes it: the FabricGraph plus, after materialize_fabric(), the
 /// object view.  Paths are computed on the graph (link ids double as dense
 /// Topology::links() indices), so the packet and flow engines select
-/// identical routes.
+/// identical routes.  mega-fct routes a jellyfish on the plan alone, without
+/// materializing it.
 struct BuiltFabric {
   net::FabricGraph graph;
   net::MaterializedFabric mat;
@@ -46,17 +45,36 @@ struct BuiltFabric {
   /// Tier-1 switch count — the shard-count clamp basis (= num_leaves on a
   /// leaf-spine).
   int tier1_switches = 0;
+  /// Graph node of each host, in graph order (the order of mat.hosts).
+  std::vector<int> host_nodes;
   /// Host object -> graph node id (filled by materialize_fabric).
   std::unordered_map<const net::Host*, int> host_node;
-  /// Memoized per-ordered-pair jellyfish path sets (Yen is deterministic, so
-  /// caching cannot change results).
-  std::map<std::pair<int, int>, std::vector<std::vector<int>>> path_cache;
+  /// Per graph node: the dense index of the switch a host hangs off (its
+  /// ToR), numbered in host order; -1 for every node that is not a host.
+  std::vector<int> node_tor;
+  int tors = 0;
+  /// The route table: core (switch-to-switch) path sets per ordered ToR
+  /// pair, slot src_tor * tors + dst_tor, each filled by pair_paths on first
+  /// use.  A same-ToR slot holds one empty core path.
+  std::vector<std::vector<std::vector<int>>> core_paths;
 };
 
-/// Builds the graph + metadata for either fabric kind.  No Topology needed
-/// yet — callers size the shard engine off the plan before materializing.
-/// `k_paths` sizes jellyfish path tables only; leaf-spine pairs always get
-/// their complete shortest-path set.
+/// One host pair's path set, a view into BuiltFabric::core_paths (valid
+/// while the fabric lives): path i is the source uplink, core path i and
+/// the destination downlink, as graph link ids.
+struct PairPaths {
+  const std::vector<std::vector<int>>* cores = nullptr;
+  int uplink = -1;
+  int downlink = -1;
+
+  std::size_t size() const { return cores->size(); }
+  std::vector<int> operator[](std::size_t i) const;
+};
+
+/// Builds the graph + metadata for either fabric kind, with an empty route
+/// table.  No Topology needed yet — callers size the shard engine off the
+/// plan before materializing.  `k_paths` sizes jellyfish path sets only;
+/// leaf-spine pairs always get their complete shortest-path set.
 BuiltFabric plan_fabric(const net::LeafSpineOptions& leaf_spine,
                         const std::optional<net::JellyfishOptions>& jellyfish,
                         int k_paths);
@@ -67,12 +85,13 @@ void materialize_fabric(BuiltFabric& fabric, net::Topology& topo,
                         const net::QueueFactory& edge_queue,
                         const net::QueueFactory& core_queue = nullptr);
 
-/// Path set (graph link ids) for one host pair: the COMPLETE shortest-path
-/// set on leaf-spine (classic ECMP, no-silent-caps contract) or the
-/// fabric's k-shortest table entry on jellyfish.  Deterministic order; pick
-/// with net::ecmp_index.
-const std::vector<std::vector<int>>& pair_paths(BuiltFabric& fabric,
-                                                int src_node, int dst_node);
+/// Path set for one pair of host graph nodes: the COMPLETE shortest-path
+/// set on leaf-spine (classic ECMP, no-silent-caps contract) or the k
+/// shortest paths on jellyfish.  Routed between the two hosts' ToRs, once
+/// per ToR pair; the order is that of routing the hosts directly.  Pick with
+/// net::ecmp_index.  Throws std::invalid_argument when a node is not a host
+/// or src == dst, and std::runtime_error when the ToRs are disconnected.
+PairPaths pair_paths(BuiltFabric& fabric, int src_node, int dst_node);
 
 /// A link-id path as the packet engine's object path.
 net::Path to_packet_path(const BuiltFabric& fabric,

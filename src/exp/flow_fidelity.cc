@@ -7,6 +7,7 @@
 
 #include "exp/common.h"
 #include "exp/flow_plan.h"
+#include "net/routing.h"
 #include "num/fluid_fct_oracle.h"
 #include "num/utility.h"
 #include "sim/random.h"
@@ -193,16 +194,15 @@ MegaFctResult run_mega_fct(const MegaFctOptions& options) {
   }
   sim::Rng rng(options.seed);
 
-  // Route + capacity providers.  The leaf-spine fast path stays pure index
-  // arithmetic; a jellyfish fabric materializes its k-shortest-path table
-  // once and then serves the same interface.
-  std::optional<flowsim::VirtualFabric> graph_fabric;
+  // The leaf-spine is pure index arithmetic; a jellyfish is a planned graph,
+  // never materialized, routed through its ToR-pair table.
+  std::optional<BuiltFabric> graph_fabric;
   if (options.jellyfish) {
-    graph_fabric = flowsim::VirtualFabric::from_graph(
-        net::make_jellyfish(*options.jellyfish), options.k_paths);
+    graph_fabric = plan_fabric({}, options.jellyfish, options.k_paths);
   }
   const int hosts =
-      graph_fabric ? graph_fabric->hosts() : options.fabric.hosts();
+      graph_fabric ? static_cast<int>(graph_fabric->host_nodes.size())
+                   : options.fabric.hosts();
   const std::vector<workload::IndexFlow> batch = workload::batch_index_flows(
       hosts, options.concurrent, *options.sizes, rng);
 
@@ -211,18 +211,23 @@ MegaFctResult run_mega_fct(const MegaFctOptions& options) {
   engine_flows.reserve(batch.size());
   MegaFctResult result;
   result.hosts = hosts;
-  result.links =
-      graph_fabric ? graph_fabric->links() : options.fabric.links();
+  result.links = graph_fabric ? graph_fabric->graph.num_links()
+                              : options.fabric.links();
   result.size_bytes.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     flowsim::FlowSimFlow flow;
     flow.arrival_seconds = 0.0;
     flow.size_bytes = static_cast<double>(batch[i].size_bytes);
-    flow.links = graph_fabric
-                     ? graph_fabric->path(batch[i].src, batch[i].dst,
-                                          static_cast<std::uint64_t>(i + 1))
-                     : options.fabric.path(batch[i].src, batch[i].dst,
-                                           static_cast<std::uint64_t>(i + 1));
+    const auto id = static_cast<std::uint64_t>(i + 1);
+    if (graph_fabric) {
+      const PairPaths paths = pair_paths(
+          *graph_fabric,
+          graph_fabric->host_nodes[static_cast<std::size_t>(batch[i].src)],
+          graph_fabric->host_nodes[static_cast<std::size_t>(batch[i].dst)]);
+      flow.links = paths[net::ecmp_index(paths.size(), id)];
+    } else {
+      flow.links = options.fabric.path(batch[i].src, batch[i].dst, id);
+    }
     flow.utility = &utility;
     engine_flows.push_back(std::move(flow));
     result.size_bytes.push_back(batch[i].size_bytes);
@@ -230,7 +235,8 @@ MegaFctResult run_mega_fct(const MegaFctOptions& options) {
 
   flowsim::FlowSimEngine engine(
       std::move(engine_flows),
-      graph_fabric ? graph_fabric->capacities() : options.fabric.capacities(),
+      graph_fabric ? graph_capacities(graph_fabric->graph)
+                   : options.fabric.capacities(),
       engine_options(options.resolve_interval_seconds, options.horizon_seconds,
                      options.solver_threads, options.incremental,
                      options.solver_tolerance));

@@ -25,6 +25,7 @@
 #include "exp/traffic_experiment.h"
 #include "flowsim/flow_sim_engine.h"
 #include "flowsim/virtual_fabric.h"
+#include "net/fabric_graph.h"
 #include "workload/size_distribution.h"
 
 namespace numfabric::exp {
@@ -57,8 +58,9 @@ TraceReplayResult run_trace_replay_flow(const TraceReplayOptions& options,
 
 // ---------------------------------------------------------------------------
 // mega-fct: the 10^5-10^6 concurrent-flow regime.  No net::Topology at all —
-// a VirtualLeafSpine is pure index arithmetic, so the only per-flow state is
-// the engine's (path indices + remaining bytes).
+// a VirtualLeafSpine is pure index arithmetic and a jellyfish stays a
+// FabricGraph, so the only per-flow state is the engine's (path indices +
+// remaining bytes).
 // ---------------------------------------------------------------------------
 
 struct MegaFctOptions {
@@ -67,9 +69,11 @@ struct MegaFctOptions {
                                    .spines = 8,
                                    .host_rate = 10e3,          // 10G in Mbps
                                    .leaf_spine_rate = 40e3};   // 40G in Mbps
-  /// When set, the batch runs on flowsim::VirtualFabric::from_graph over a
-  /// jellyfish graph (k_paths shortest routes per switch pair) instead of
-  /// the index-arithmetic VirtualLeafSpine above.
+  /// When set, the batch runs on this jellyfish graph instead of the
+  /// index-arithmetic VirtualLeafSpine above: exp::plan_fabric builds it,
+  /// exp::pair_paths routes each flow over the k_paths shortest paths of its
+  /// ToR pair (the packet runners' table) and exp::graph_capacities sizes
+  /// its links.
   std::optional<net::JellyfishOptions> jellyfish;
   int k_paths = 8;
   /// Concurrent flows, all arriving at t = 0.

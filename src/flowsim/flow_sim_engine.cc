@@ -15,8 +15,9 @@ namespace {
 constexpr double kDoneBits = 1e-6;  // remaining <= this counts as finished
 
 // Compile the full flow set once; arrivals and departures are set_active
-// row patches, re-solves share one warm workspace.
-num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
+// row patches, re-solves share one warm workspace.  Each path moves into the
+// problem, so the CSR rows are the only copy the engine keeps.
+num::CsrProblem compile_flows(std::vector<FlowSimFlow>& flows,
                               std::vector<double> capacities) {
   for (const FlowSimFlow& f : flows) {
     if (f.size_bytes <= 0) {
@@ -33,9 +34,9 @@ num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
   problem.capacities = std::move(capacities);
   problem.utilities.reserve(flows.size());
   problem.flow_links.reserve(flows.size());
-  for (const FlowSimFlow& f : flows) {
+  for (FlowSimFlow& f : flows) {
     problem.utilities.push_back(f.utility);
-    problem.flow_links.push_back(f.links);
+    problem.flow_links.push_back(std::move(f.links));
   }
   return num::CsrProblem::compile(problem);
 }
@@ -45,11 +46,14 @@ num::CsrProblem compile_flows(const std::vector<FlowSimFlow>& flows,
 FlowSimEngine::FlowSimEngine(std::vector<FlowSimFlow> flows,
                              std::vector<double> capacities,
                              FlowSimOptions options)
-    : flows_(std::move(flows)),
-      options_(std::move(options)),
-      csr_(compile_flows(flows_, std::move(capacities))) {
+    : options_(std::move(options)),
+      csr_(compile_flows(flows, std::move(capacities))) {
   if (options_.resolve_interval_seconds < 0) {
     throw std::invalid_argument("FlowSimEngine: resolve interval < 0");
+  }
+  flows_.reserve(flows.size());
+  for (const FlowSimFlow& f : flows) {
+    flows_.push_back({f.arrival_seconds, f.size_bytes});
   }
 
   order_.resize(flows_.size());

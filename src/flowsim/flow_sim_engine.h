@@ -118,7 +118,12 @@ class FlowSimEngine {
   bool step_grid();
   void finish();
 
-  std::vector<FlowSimFlow> flows_;
+  /// What the epochs read of each flow once its path is compiled.
+  struct Flow {
+    double arrival_seconds = 0.0;
+    double size_bytes = 0.0;
+  };
+  std::vector<Flow> flows_;
   FlowSimOptions options_;
   num::CsrProblem csr_;
   num::NumWorkspace workspace_;

@@ -14,13 +14,13 @@
 // with H = hosts, L = leaves, S = spines and leaf(h) = h / hosts_per_leaf.
 // Cross-leaf paths pick their spine by hashing a caller-supplied tiebreak
 // (the flow id), the virtual analogue of per-flow ECMP — deterministic and
-// seed-free.
+// seed-free.  Any other fabric (jellyfish) stays a net::FabricGraph that is
+// never materialized: exp::pair_paths routes it, exp::graph_capacities sizes
+// it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "net/fabric_graph.h"
 
 namespace numfabric::flowsim {
 
@@ -42,42 +42,6 @@ struct VirtualLeafSpine {
   /// {uplink, downlink}; cross-leaf pairs add the leaf->spine->leaf hop with
   /// the spine chosen by hashing `tiebreak`.
   std::vector<int> path(int src, int dst, std::uint64_t tiebreak) const;
-};
-
-/// The general form: any FabricGraph reduced to a capacity vector plus a
-/// precomputed per-switch-pair path table, so mega-fct-scale runs work on
-/// arbitrary fabrics (jellyfish) with the same integer-only interface as
-/// VirtualLeafSpine.  Paths are k-shortest (Yen) between host-bearing
-/// switches, stitched to per-host up/down links on demand; the per-flow pick
-/// uses net::ecmp_index, the same choice the packet engine makes.
-class VirtualFabric {
- public:
-  /// Builds the capacity vector (num::to_rate_units of each graph link) and
-  /// the k-path table for every ordered pair of host-bearing switches.
-  /// Throws std::invalid_argument when the graph has < 2 hosts and
-  /// std::runtime_error when some host pair has no route.
-  static VirtualFabric from_graph(const net::FabricGraph& graph, int k_paths);
-
-  int hosts() const { return static_cast<int>(host_uplink_.size()); }
-  int links() const { return static_cast<int>(capacities_.size()); }
-
-  /// Per-link capacities in graph link order (CsrProblem input) — identical
-  /// to the packet engine's LinkIndexer order for the same graph.
-  const std::vector<double>& capacities() const { return capacities_; }
-
-  /// Link indices from host `src` to host `dst` (distinct), choosing among
-  /// the pair's k paths by hashing `tiebreak`.
-  std::vector<int> path(int src, int dst, std::uint64_t tiebreak) const;
-
- private:
-  std::vector<double> capacities_;
-  std::vector<int> host_uplink_;        // host h -> its uplink graph link
-  std::vector<int> host_switch_index_;  // host h -> dense index of its switch
-  int num_switches_ = 0;
-  /// Switch-level paths for ordered pair (a, b): table_[a * num_switches_ + b]
-  /// holds up to k link-id sequences (empty for a == b — same-switch pairs
-  /// need no core hops).
-  std::vector<std::vector<std::vector<int>>> table_;
 };
 
 }  // namespace numfabric::flowsim

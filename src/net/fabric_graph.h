@@ -6,8 +6,8 @@
 //  * the packet engine materializes Node/Link/Queue objects
 //    (Topology::materialize), byte-identical to the historical hand-rolled
 //    builders;
-//  * the flow-fluid engine takes the capacity vector + a path table
-//    (flowsim::VirtualFabric::from_graph);
+//  * the flow-fluid engine takes the capacity vector + the same link-id
+//    paths (exp::graph_capacities, exp::pair_paths);
 //  * the shard planner derives its partition and conservative lookahead from
 //    tiers and cut-cable delays (net::build_shard_plan).
 //

@@ -608,15 +608,6 @@ SolveStats solve(const CsrProblem& problem, NumWorkspace& workspace,
       rates[fi] = problem.marginal_inverse(fi, path_price[fi]);
     }
   }
-  for (std::size_t l = 0; l < num_links; ++l) {
-    double load = 0.0;
-    for (const std::int32_t i : problem.link_active_flows(l)) {
-      load += rates[static_cast<std::size_t>(i)];
-    }
-    const double violation =
-        (load - problem.capacities()[l]) / problem.capacities()[l];
-    stats.max_violation = std::max(stats.max_violation, violation);
-  }
 
   SolverAccess::warm(workspace) = true;
   SolverAccess::stamps_current(workspace) = stamped && stats.converged;

@@ -64,8 +64,6 @@ struct NumSolverOptions {
 struct SolveStats {
   int sweeps = 0;
   bool converged = false;
-  /// max_l (sum_{i on l} x_i - c_l) / c_l over links.
-  double max_violation = 0.0;
   /// Worklist pops performed by the incremental path (0 for full solves).
   std::int64_t relaxations = 0;
   /// Links relaxed by the incremental path's verification sweeps (0 for

@@ -46,6 +46,21 @@ struct RandomInstance {
   NumProblem problem;
 };
 
+/// max over links of (load - capacity) / capacity at `rates`, over each
+/// link's active flows (0 when no link is overloaded).
+double max_violation(const CsrProblem& problem, std::span<const double> rates) {
+  double worst = 0.0;
+  for (std::size_t l = 0; l < problem.num_links(); ++l) {
+    double load = 0.0;
+    for (const std::int32_t i : problem.link_active_flows(l)) {
+      load += rates[static_cast<std::size_t>(i)];
+    }
+    worst = std::max(worst, (load - problem.capacities()[l]) /
+                                problem.capacities()[l]);
+  }
+  return worst;
+}
+
 RandomInstance make_random(double alpha, int flows, int links,
                            std::uint64_t seed) {
   RandomInstance instance;
@@ -152,7 +167,7 @@ TEST_P(CsrSolverRandom, SatisfiesKkt) {
   NumWorkspace ws;
   const SolveStats stats = solve(csr, ws);
   ASSERT_TRUE(stats.converged);
-  EXPECT_LT(stats.max_violation, 1e-6);
+  EXPECT_LT(max_violation(csr, ws.rates()), 1e-6);
   const std::vector<double> rates(ws.rates().begin(), ws.rates().end());
   const std::vector<double> prices(ws.prices().begin(), ws.prices().end());
   EXPECT_LT(kkt_residual(instance.problem, rates, prices), 1e-5);
@@ -320,14 +335,13 @@ TEST_P(CsrSolverRandom, IncrementalChurnSatisfiesKktAndMatchesFull) {
   opt_optimum.tolerance = 1e-13;
   opt_optimum.max_sweeps = 100'000;
 
-  const auto expect_in_band = [&](const SolveStats& inc,
-                                  const std::string& when) {
+  const auto expect_in_band = [&](const std::string& when) {
     ASSERT_TRUE(solve(csr_optimum, ws_optimum, opt_optimum).converged)
         << when;
     // Same convergence contract as the full path.
     EXPECT_LT(kkt_residual(csr_inc, ws_inc.rates(), ws_inc.prices()), 1e-5)
         << when;
-    EXPECT_LT(inc.max_violation, 1e-5) << when;
+    EXPECT_LT(max_violation(csr_inc, ws_inc.rates()), 1e-5) << when;
     // Not bit-identical to the full solve, but within a tolerance band of
     // it, and both within that band of the optimum.
     for (const std::int32_t f : csr_inc.active_flows()) {
@@ -350,7 +364,7 @@ TEST_P(CsrSolverRandom, IncrementalChurnSatisfiesKktAndMatchesFull) {
   ASSERT_TRUE(cold_inc.converged);
   ASSERT_TRUE(cold_full.converged);
   EXPECT_EQ(cold_inc.relaxations, 0);
-  expect_in_band(cold_inc, "cold");
+  expect_in_band("cold");
 
   sim::Rng rng(param.seed * 31 + 5);
   std::int64_t total_relaxations = 0;
@@ -373,7 +387,7 @@ TEST_P(CsrSolverRandom, IncrementalChurnSatisfiesKktAndMatchesFull) {
     ASSERT_TRUE(full.converged) << "step " << step;
     total_relaxations += inc.relaxations;
     EXPECT_EQ(full.relaxations, 0);
-    expect_in_band(inc, "step " + std::to_string(step));
+    expect_in_band("step " + std::to_string(step));
   }
   // Churn-shaped epochs must actually take the worklist path.
   EXPECT_GT(total_relaxations, 0);
@@ -649,7 +663,7 @@ TEST(CsrSolverTest, IncrementalGenericUtilitiesConvergeThroughBisection) {
     const SolveStats stats = solve(csr, ws, options);
     ASSERT_TRUE(stats.converged) << "step " << step;
     relaxations += stats.relaxations;
-    EXPECT_LT(stats.max_violation, 1e-5) << "step " << step;
+    EXPECT_LT(max_violation(csr, ws.rates()), 1e-5) << "step " << step;
     EXPECT_LT(kkt_residual(csr, ws.rates(), ws.prices()), 1e-5)
         << "step " << step;
   }
@@ -689,7 +703,7 @@ TEST(CsrSolverTest, CappedCascadeLeavesLinksEnqueueable) {
   const SolveStats stats = solve(csr, ws, options);
   ASSERT_TRUE(stats.converged);
   EXPECT_GT(stats.relaxations, 0);
-  EXPECT_LT(stats.max_violation, 1e-6);
+  EXPECT_LT(max_violation(csr, ws.rates()), 1e-6);
   EXPECT_LT(kkt_residual(csr, ws.rates(), ws.prices()), 1e-6);
 }
 
