@@ -106,11 +106,9 @@ PairPaths pair_paths(BuiltFabric& fabric, int src_node, int dst_node) {
                                         static_cast<std::size_t>(fabric.k_paths))
                 : net::all_shortest_paths(graph, from, to);
     if (cores.empty()) {
-      throw std::runtime_error("pair_paths: no route between switches '" +
-                               graph.nodes()[static_cast<std::size_t>(from)].name +
-                               "' and '" +
-                               graph.nodes()[static_cast<std::size_t>(to)].name +
-                               "'");
+      throw std::runtime_error("pair_paths: no route between switches " +
+                               std::to_string(from) + " and " +
+                               std::to_string(to));
     }
   }
   return {&cores, uplink, downlink};
